@@ -19,28 +19,13 @@ from cfaudit.fixtures import (
 )
 from cfaudit.metrics import build_report, reports_to_csv
 from cfaudit.model import EngineConfig, Mode
-from cfaudit.selection import (
-    enumerate_candidates,
-    policy_minimize,
-    policy_select,
-    policy_top,
-)
+from cfaudit.selection import choose, enumerate_candidates
 from cfaudit.workload import generate_trace
 
 WORKLOADS = {
     "sensor": (sensor_cfg, sensor_profile, SENSOR_LEN_RANGE),
     "branchy": (branchy_cfg, branchy_profile, BRANCHY_LEN_RANGE),
 }
-
-
-def pick(policy, candidates, n, config):
-    if policy == "top":
-        return policy_top(candidates, n)
-    if policy == "minimize":
-        return policy_minimize(candidates, n, 100.0)
-    # budget sized per count so the sweep stays comparable across n
-    specs = policy_select(candidates, n * 48, config)
-    return specs[:n]
 
 
 def main() -> int:
@@ -56,7 +41,8 @@ def main() -> int:
         log = encode_raw(trace, config)
         candidates = enumerate_candidates([log], len_range, mode=Mode.PAIR)
         for n in range(1, 9):
-            specs = pick(args.policy, candidates, n, config)
+            # budget sized per count so the sweep stays comparable across n
+            specs = choose(args.policy, candidates, n, n * 48, 100.0, config)
             reports.append(
                 build_report(f"{name}-{args.policy}-{n}", trace, specs, config,
                              include_baseline=True)

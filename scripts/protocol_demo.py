@@ -8,22 +8,9 @@ import sys
 from cfaudit.codec import encode_raw
 from cfaudit.fixtures import DEMO_KEY, SENSOR_LEN_RANGE, sensor_cfg, sensor_profile
 from cfaudit.model import EngineConfig, Mode, Transfer
-from cfaudit.protocol import Channel, ChannelFaults, Prover, Verifier
-from cfaudit.selection import enumerate_candidates, policy_top
+from cfaudit.protocol import ChannelFaults, run_session
+from cfaudit.selection import choose, enumerate_candidates
 from cfaudit.workload import generate_trace
-
-
-def run_session(cfg, trace, specs, config, faults=None):
-    verifier = Verifier(DEMO_KEY, config)
-    request = verifier.open_session(specs)
-    prover = Prover(DEMO_KEY, config)
-    prover.handle_request(request.encode())
-    channel = Channel(faults)
-    for s in prover.run(trace):
-        channel.send(s.encode())
-    for frame in channel.drain():
-        verifier.verify_slice(frame)
-    return verifier.assemble(cfg=cfg)
 
 
 def main() -> int:
@@ -31,22 +18,22 @@ def main() -> int:
     cfg = sensor_cfg()
     trace = generate_trace(cfg, sensor_profile())
     log = encode_raw(trace, config)
-    specs = policy_top(
-        enumerate_candidates([log], SENSOR_LEN_RANGE, mode=Mode.PAIR), 2
-    )
+    candidates = enumerate_candidates([log], SENSOR_LEN_RANGE, mode=Mode.PAIR)
+    specs = choose("top", candidates, n_paths=2, budget_bytes=256, threshold_t=100.0,
+                   config=config)
 
-    verdict = run_session(cfg, trace, specs, config)
+    verdict = run_session(DEMO_KEY, config, specs, trace, cfg)
     print(f"benign run            -> {verdict.outcome.value}")
 
-    verdict = run_session(cfg, trace, specs, config, ChannelFaults(flip={0: 80}))
+    verdict = run_session(DEMO_KEY, config, specs, trace, cfg, ChannelFaults(flip={0: 80}))
     print(f"corrupted slice       -> {verdict.outcome.value} ({verdict.reason})")
 
-    verdict = run_session(cfg, trace, specs, config, ChannelFaults(drop={0}))
+    verdict = run_session(DEMO_KEY, config, specs, trace, cfg, ChannelFaults(drop={0}))
     print(f"dropped slice         -> {verdict.outcome.value} ({verdict.reason})")
 
     hijacked = list(trace)
     hijacked.insert(40, Transfer(0x0400, 0x0508))  # edge absent from the CFG
-    verdict = run_session(cfg, hijacked, specs, config)
+    verdict = run_session(DEMO_KEY, config, specs, hijacked, cfg)
     print(
         f"injected rogue edge   -> {verdict.outcome.value} "
         f"(first bad transfer at {verdict.invalid_index})"

@@ -42,6 +42,17 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                    help="re-test a mismatching transfer against entry 0")
 
 
+def _add_policy_flags(p: argparse.ArgumentParser, required: bool,
+                      policy_help: str | None = None) -> None:
+    p.add_argument("--policy", choices=selection.POLICIES, required=required, help=policy_help)
+    p.add_argument("--threshold", type=float, default=100.0, metavar="T",
+                   help="minimize replacement threshold in percent")
+    p.add_argument("--budget", type=int, default=256, metavar="B",
+                   help="block memory byte budget")
+    p.add_argument("--min-len", type=int, default=2)
+    p.add_argument("--max-len", type=int, default=16)
+
+
 def _config(args, mode: Mode | None = None, width: int | None = None) -> EngineConfig:
     return EngineConfig(
         mode=Mode(args.mode) if args.mode else (mode or Mode.PAIR),
@@ -99,36 +110,35 @@ def _cmd_expand(args) -> int:
     return 0
 
 
+def _choose_specs(args, config: EngineConfig, logs, graph) -> list:
+    """Mine ``logs`` (or rank ``graph`` for the static policy) once and run
+    the chosen policy over the candidates."""
+    if args.policy == "static":
+        candidates = selection.static_candidates(graph)
+    else:
+        candidates = selection.enumerate_candidates(
+            logs, (args.min_len, args.max_len), mode=config.mode
+        )
+    return selection.choose(
+        args.policy, candidates, args.max_paths, args.budget, args.threshold, config
+    )
+
+
 def _cmd_select(args) -> int:
     config = _config(args)
+    logs, graph = [], None
     if args.policy == "static":
         if not args.cfg:
             raise AuditError("static policy needs --cfg")
         graph = cfgmod.build_cfg(Path(args.cfg).read_text())
-        ranked = selection.static_candidates(graph)
-        specs = selection.select_static(ranked, args.max_paths, args.budget, config)
     else:
         if not args.trace:
             raise AuditError(f"policy {args.policy} needs at least one --trace")
-        logs = []
         for t in args.trace:
             mode, width, trace = files.parse_trace_document(Path(t).read_text())
-            cfg_t = _config(args, mode, width)
-            logs.append(codec.encode_raw(trace, cfg_t))
-        candidates = selection.enumerate_candidates(
-            logs, (args.min_len, args.max_len), mode=config.mode
-        )
-        if args.policy == "top":
-            specs = selection.policy_top(candidates, args.max_paths)
-        elif args.policy == "minimize":
-            specs = selection.policy_minimize(candidates, args.max_paths, args.threshold)
-        else:
-            specs = selection.policy_select(candidates, args.budget, config)
-            if len(specs) > args.max_paths:
-                # the policy is budget-bound; the engine only has
-                # max-paths detectors, so keep the highest-ranked prefix
-                print(f"capping {len(specs)} selected specs to {args.max_paths}")
-                specs = specs[: args.max_paths]
+            logs.append(codec.encode_raw(trace, _config(args, mode, width)))
+    specs = _choose_specs(args, config, logs, graph)
+    if logs:  # static specs have no prior log to estimate against
         for spec in specs:
             saved = selection.estimate_savings(spec, logs, config)
             print(f"spec {spec.id} len {spec.length} estimated_savings_bytes {saved}")
@@ -159,41 +169,18 @@ def _cmd_simulate(args) -> int:
     if args.specs:
         specs = _load_specs(args.specs, config)
     elif args.policy:
-        logs = [codec.encode_raw(trace, config)]
-        if args.policy == "static":
-            ranked = selection.static_candidates(graph)
-            specs = selection.select_static(ranked, args.max_paths, args.budget, config)
-        else:
-            candidates = selection.enumerate_candidates(
-                logs, (args.min_len, args.max_len), mode=config.mode
-            )
-            if args.policy == "top":
-                specs = selection.policy_top(candidates, args.max_paths)
-            elif args.policy == "minimize":
-                specs = selection.policy_minimize(candidates, args.max_paths, args.threshold)
-            else:
-                specs = selection.policy_select(candidates, args.budget, config)[: args.max_paths]
+        specs = _choose_specs(args, config, [codec.encode_raw(trace, config)], graph)
     else:
         specs = ()
-
-    key = files.load_key(args.key)
-    verifier = protocol.Verifier(key, config)
-    request = verifier.open_session(specs)
-    prover = protocol.Prover(key, config)
-    prover.handle_request(request.encode())
-    slices = prover.run(trace)
 
     faults = protocol.ChannelFaults(
         drop=set(args.drop or ()),
         flip=dict(_parse_flip(f) for f in (args.flip or ())),
         replay=set(args.replay or ()),
     )
-    channel = protocol.Channel(faults)
-    for s in slices:
-        channel.send(s.encode())
-    for frame in channel.drain():
-        verifier.verify_slice(frame)
-    verdict = verifier.assemble(cfg=graph)
+    verdict = protocol.run_session(
+        files.load_key(args.key), config, specs, trace, cfg=graph, faults=faults
+    )
 
     report = metrics.build_report("simulate", trace, specs, config, include_baseline=True)
     _write_report(args, report, "simulate")
@@ -253,16 +240,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_expand)
 
     p = sub.add_parser("select", help="derive a sub-path spec file")
-    p.add_argument("--policy", choices=["top", "minimize", "select", "static"], required=True)
+    _add_policy_flags(p, required=True)
     p.add_argument("--trace", action="append", help="prior trace document (repeatable)")
     p.add_argument("--cfg", help="CFG document (static policy)")
     p.add_argument("-o", "--out", required=True)
-    p.add_argument("--threshold", type=float, default=100.0, metavar="T",
-                   help="minimize replacement threshold in percent")
-    p.add_argument("--budget", type=int, default=256, metavar="B",
-                   help="block memory byte budget")
-    p.add_argument("--min-len", type=int, default=2)
-    p.add_argument("--max-len", type=int, default=16)
     _add_config_flags(p)
     p.set_defaults(func=_cmd_select)
 
@@ -270,15 +251,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("cfg")
     p.add_argument("--key", required=True, help="key file (32 bytes or 64 hex chars)")
     p.add_argument("--specs", help="spec file to install")
-    p.add_argument("--policy", choices=["top", "minimize", "select", "static"],
-                   help="mine specs from the generated trace instead")
+    _add_policy_flags(p, required=False,
+                      policy_help="mine specs from the generated trace instead")
     p.add_argument("--steps", type=int, default=2000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--loop-bias", type=float, default=1.0)
-    p.add_argument("--threshold", type=float, default=100.0)
-    p.add_argument("--budget", type=int, default=256)
-    p.add_argument("--min-len", type=int, default=2)
-    p.add_argument("--max-len", type=int, default=16)
     p.add_argument("--inject", metavar="SRC:DEST@IDX",
                    help="splice an arbitrary transfer into the trace")
     p.add_argument("--drop", type=int, action="append", metavar="SEQ",
@@ -308,10 +285,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except AuditError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (AuditError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

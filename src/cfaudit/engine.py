@@ -19,8 +19,6 @@ coalesces into ``[symbol, count]`` instead of stacking symbols.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Sequence
 
 from .errors import AddressOutOfRange, MalformedLog, ModeMismatch, SliceTooSmall, UnknownSymbol
@@ -38,27 +36,6 @@ from .model import (
     make_log,
     validate_spec_set,
 )
-
-
-class Phase(str, Enum):
-    IDLE = "idle"
-    MONITOR = "monitor"
-
-
-@dataclass(frozen=True)
-class DetectorState:
-    spec_index: int
-    phase: Phase
-    block_ptr: int
-
-
-@dataclass(frozen=True)
-class RepeatState:
-    """What the log tail currently allows the coalescer to extend."""
-
-    last_id: int | None
-    count: int
-    tail_is_countable: bool
 
 
 class Engine:
@@ -93,24 +70,6 @@ class Engine:
     def snapshot(self) -> tuple:
         """Current log elements, without finalizing."""
         return tuple(self._elements)
-
-    def detectors(self) -> tuple[DetectorState, ...]:
-        return tuple(
-            DetectorState(k, Phase.MONITOR if p else Phase.IDLE, p)
-            for k, p in enumerate(self._ptrs)
-        )
-
-    def repeat_state(self) -> RepeatState:
-        els = self._elements
-        if els and isinstance(els[-1], Symbol):
-            return RepeatState(els[-1].id, 1, True)
-        if (
-            len(els) >= 2
-            and isinstance(els[-1], RepeatCount)
-            and isinstance(els[-2], Symbol)
-        ):
-            return RepeatState(els[-2].id, els[-1].count, True)
-        return RepeatState(None, 0, False)
 
     def step(self, transfer: Transfer) -> None:
         lo, hi = self._lo, self._hi

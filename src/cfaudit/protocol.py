@@ -388,3 +388,25 @@ class Channel:
                     delivered[p], delivered[p + 1] = delivered[p + 1], delivered[p]
         self._sent = []
         return [frame for _, frame in delivered]
+
+
+def run_session(
+    key: bytes,
+    config: EngineConfig,
+    specs: Sequence[SubPathSpec],
+    trace: Iterable[Transfer],
+    cfg: CFG | None = None,
+    faults: ChannelFaults | None = None,
+) -> Verdict:
+    """One full session between a fresh verifier and prover: install
+    ``specs``, stream the trace's slices over a channel with ``faults``,
+    and judge what arrives (against ``cfg`` when given)."""
+    verifier = Verifier(key, config)
+    prover = Prover(key, config)
+    prover.handle_request(verifier.open_session(specs).encode())
+    channel = Channel(faults)
+    for s in prover.run(trace):
+        channel.send(s.encode())
+    for frame in channel.drain():
+        verifier.verify_slice(frame)
+    return verifier.assemble(cfg=cfg)

@@ -50,23 +50,6 @@ class Candidate:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class PolicyConfig:
-    n_paths: int = 8
-    len_range: tuple[int, int] = DEFAULT_LEN_RANGE
-    threshold_t: float = 100.0
-    budget_bytes: int = 256
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.n_paths <= 8:
-            raise ValueError("n_paths must be in 1..8")
-        lo, hi = self.len_range
-        if lo < 1 or hi < lo:
-            raise ValueError(f"bad len_range {self.len_range}")
-        if self.threshold_t <= 0:
-            raise ValueError("threshold_t must be positive")
-
-
 def _log_keys(log: Log, mode: Mode) -> list:
     keys = []
     for e in log.elements:
@@ -98,6 +81,8 @@ def enumerate_candidates(
     """Every distinct contiguous window with length in ``len_range``,
     counted greedily left-to-right without overlap, summed over logs."""
     lo, hi = len_range
+    if lo < 1 or hi < lo:
+        raise ValueError(f"bad len_range {len_range}: need 1 <= lo <= hi")
     counts: dict[tuple, int] = {}
     for log in logs:
         keys = _log_keys(log, mode)
@@ -287,6 +272,37 @@ def select_static(
         selected.append(c)
         remaining -= block
     return _to_specs(selected)
+
+
+POLICIES = ("top", "minimize", "select", "static")
+
+
+def choose(
+    policy: str,
+    candidates: Iterable[Candidate],
+    n_paths: int,
+    budget_bytes: int,
+    threshold_t: float,
+    config: EngineConfig,
+) -> list[SubPathSpec]:
+    """Run one selection policy and keep at most ``n_paths`` specs.
+
+    ``top``/``minimize``/``select`` take mined candidates
+    (``enumerate_candidates``); ``static`` takes ``static_candidates(cfg)``.
+    ``select`` is bound by the byte budget alone, so the cap keeps its
+    highest-ranked prefix for the engine's ``n_paths`` detectors.
+    """
+    if policy == "top":
+        specs = policy_top(candidates, n_paths)
+    elif policy == "minimize":
+        specs = policy_minimize(candidates, n_paths, threshold_t)
+    elif policy == "select":
+        specs = policy_select(candidates, budget_bytes, config)
+    elif policy == "static":
+        specs = select_static(candidates, n_paths, budget_bytes, config)
+    else:
+        raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
+    return specs[:n_paths]
 
 
 def estimate_savings(

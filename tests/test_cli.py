@@ -164,6 +164,39 @@ class TestSimulate:
         assert "authentic_but_invalid_path" in out and "invalid_index=50" in out
 
 
+class TestBadInput:
+    """Values argparse accepts but the library rejects exit 1 with a
+    one-line error instead of a traceback."""
+
+    def check(self, capsys, *argv):
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        return err
+
+    def test_select_max_paths_above_8(self, workdir, capsys):
+        err = self.check(capsys, "select", "--policy", "top", "--trace", workdir / "t.trace",
+                         "--max-paths", 9, "-o", workdir / "x.specs")
+        assert "max_sub_paths" in err
+        assert not (workdir / "x.specs").exists()
+
+    def test_select_min_len_0(self, workdir, capsys):
+        err = self.check(capsys, "select", "--policy", "top", "--trace", workdir / "t.trace",
+                         "--min-len", 0, "-o", workdir / "x.specs")
+        assert "len_range" in err
+
+    def test_simulate_negative_steps(self, tmp_path, capsys):
+        fixtures = write_fixture_files(tmp_path / "fx")
+        err = self.check(capsys, "simulate", fixtures["sensor.cfg"], "--key",
+                         fixtures["demo.key"], "--steps", -1)
+        assert "steps" in err
+
+    def test_simulate_non_hex_key(self, tmp_path, capsys):
+        fixtures = write_fixture_files(tmp_path / "fx")
+        self.check(capsys, "simulate", fixtures["sensor.cfg"], "--key", fixtures["sensor.cfg"],
+                   "--report", tmp_path / "r.json")
+
+
 class TestMonitorCmd:
     def test_ok_and_reset(self, tmp_path, capsys):
         benign = [AccessEvent(pc=0x9100, w_en=True, d_addr=0xA000)]

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfaudit.codec import encode_raw, serialize_log
-from cfaudit.engine import Engine, Phase, compress_trace, expand, slice_compress
+from cfaudit.engine import Engine, compress_trace, expand, slice_compress
 from cfaudit.errors import (
     AddressOutOfRange,
     MalformedLog,
@@ -66,19 +66,33 @@ class TestEngineBasics:
         assert log.size_bytes == 4
 
     def test_detectors_idle_after_replacement(self):
-        eng = Engine([ABD_SPEC], PAIR16)
+        # spec 2 is two entries into its match when spec 1 completes; the
+        # replacement resets it, so (G, X) must not complete spec 2
+        mid = SubPathSpec(2, pairs((B, D), (D, G), (G, X)))
+        eng = Engine([ABD_SPEC, mid], PAIR16)
         for t in ABD_TRACE:
             eng.step(t)
-        assert all(d.phase is Phase.IDLE and d.block_ptr == 0 for d in eng.detectors())
+        assert eng.snapshot() == (Symbol(1),)
+        eng.step(Transfer(G, X))
+        assert eng.snapshot() == (Symbol(1), RawPair(G, X))
+        # nor does a completed spec resume from a later entry
+        log = compress_trace(ABD_TRACE + ABD_TRACE[1:], [ABD_SPEC], PAIR16)
+        assert log.elements == (Symbol(1), RawPair(B, D), RawPair(D, G))
 
     def test_repeat_state_view(self):
         eng = Engine([ABD_SPEC], PAIR16)
         for t in ABD_TRACE * 2:
             eng.step(t)
-        rs = eng.repeat_state()
-        assert rs.last_id == 1 and rs.count == 2 and rs.tail_is_countable
+        assert eng.snapshot() == (Symbol(1), RepeatCount(2))
+        # a raw element ends the group: the next occurrence starts a new one
         eng.step(Transfer(G, X))
-        assert not eng.repeat_state().tail_is_countable
+        for t in ABD_TRACE:
+            eng.step(t)
+        assert eng.snapshot() == (Symbol(1), RepeatCount(2), RawPair(G, X), Symbol(1))
+        log = compress_trace(ABD_TRACE * 2 + [Transfer(G, X)] + ABD_TRACE * 2, [ABD_SPEC], PAIR16)
+        assert log.elements == (
+            Symbol(1), RepeatCount(2), RawPair(G, X), Symbol(1), RepeatCount(2)
+        )
 
 
 class TestLogGrowthStages:

@@ -4,11 +4,16 @@ import random
 import pytest
 
 from cfaudit.codec import blockmem_block_bytes, encode_raw, serialize_blockmem
-from cfaudit.fixtures import static_demo_cfg
+from cfaudit.fixtures import (
+    BRANCHY_LEN_RANGE,
+    branchy_cfg,
+    branchy_profile,
+    static_demo_cfg,
+)
 from cfaudit.model import EngineConfig, Mode, SubPathSpec, Transfer
 from cfaudit.selection import (
     Candidate,
-    PolicyConfig,
+    choose,
     enumerate_candidates,
     estimate_savings,
     policy_minimize,
@@ -17,6 +22,7 @@ from cfaudit.selection import (
     select_static,
     static_candidates,
 )
+from cfaudit.workload import generate_trace
 
 from conftest import random_trace
 
@@ -304,11 +310,39 @@ class TestEstimateSavings:
         assert estimate_savings(spec, [log], PAIR16) == -blockmem_block_bytes(1, PAIR16)
 
 
-def test_policy_config_validation():
-    with pytest.raises(ValueError):
-        PolicyConfig(n_paths=0)
-    with pytest.raises(ValueError):
-        PolicyConfig(len_range=(0, 4))
-    with pytest.raises(ValueError):
-        PolicyConfig(threshold_t=0)
-    PolicyConfig()
+class TestChoose:
+    """``choose`` is the one dispatch point; it must pick exactly what the
+    direct policy calls pick, capped to ``n_paths``."""
+
+    @pytest.fixture(scope="class")
+    def mined(self):
+        log = encode_raw(generate_trace(branchy_cfg(), branchy_profile()), PAIR16)
+        return enumerate_candidates([log], BRANCHY_LEN_RANGE, mode=Mode.PAIR)
+
+    @pytest.mark.parametrize("n", [1, 4, 8])
+    def test_parity_with_direct_calls(self, mined, n):
+        ranked = static_candidates(static_demo_cfg())
+        assert choose("top", mined, n, 256, 100.0, PAIR16) == policy_top(mined, n)
+        assert choose("minimize", mined, n, 256, 50.0, PAIR16) == policy_minimize(mined, n, 50.0)
+        assert choose("static", ranked, n, 256, 100.0, PAIR16) == select_static(
+            ranked, n, 256, PAIR16
+        )
+        # select is budget-bound: the cap keeps the highest-ranked prefix
+        uncapped = policy_select(mined, 256, PAIR16)
+        assert len(uncapped) > n
+        assert choose("select", mined, n, 256, 100.0, PAIR16) == uncapped[:n]
+
+    def test_sweep_budget_per_count(self, mined):
+        for n in range(1, 9):
+            direct = policy_select(mined, n * 48, PAIR16)[:n]
+            assert choose("select", mined, n, n * 48, 100.0, PAIR16) == direct
+
+    def test_unknown_policy(self, mined):
+        with pytest.raises(ValueError, match="unknown policy"):
+            choose("best", mined, 8, 256, 100.0, PAIR16)
+
+
+@pytest.mark.parametrize("len_range", [(0, 4), (-1, 2), (5, 4)])
+def test_enumerate_rejects_bad_len_range(len_range):
+    with pytest.raises(ValueError, match="bad len_range"):
+        enumerate_candidates([dest_log("ABAB")], len_range, mode=Mode.DEST)
