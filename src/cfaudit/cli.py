@@ -186,9 +186,9 @@ def _cmd_simulate(args) -> int:
     _write_report(args, report, "simulate")
     detail = ""
     if verdict.invalid_index is not None:
-        detail = f" invalid_index={verdict.invalid_index}"
+        detail += f" invalid_index={verdict.invalid_index}"
     if verdict.reason:
-        detail = f" reason={verdict.reason}"
+        detail += f" reason={verdict.reason}"
     print(f"verdict {verdict.outcome.value}{detail}")
     return 0 if verdict.outcome is protocol.Outcome.AUTHENTIC_AND_VALID else 1
 

@@ -56,8 +56,7 @@ def build_report(
 ) -> MetricsReport:
     raw = encode_raw(trace, config)
     engine = Engine(specs, config)
-    for t in trace:
-        engine.step(t)
+    engine.feed(trace)
     compressed = engine.finalize()
     blockmem = len(serialize_blockmem(specs, config).data)
     reduction = (

@@ -9,10 +9,11 @@ channel; every frame ends with a 32-byte HMAC-SHA256 tag):
     slice   :=  seq(4) final(1) payload_len(4) payload
                 [image_digest(32) if final] mac(32)
 
-Request MACs cover the whole frame body; slice MACs additionally cover
-the session challenge, so evidence produced under one challenge never
-verifies in another session.  Slice payloads are memory-image log bytes.
-An empty request blockmem means "keep the currently installed specs".
+Request MACs cover the whole frame body as received; slice MACs
+additionally cover the session challenge, so evidence produced under one
+challenge never verifies in another session.  Slice payloads are
+memory-image log bytes.  An empty request blockmem means "keep the
+currently installed specs".
 """
 
 from __future__ import annotations
@@ -88,8 +89,12 @@ class Request:
         if len(frame) < CHALLENGE_BYTES + 10 + MAC_BYTES:
             raise MalformedFrame("request frame too short")
         challenge = frame[:16]
+        if frame[16] not in (0, 1):
+            raise MalformedFrame(f"bad mode byte {frame[16]}")
         mode = Mode.PAIR if frame[16] == 0 else Mode.DEST
         width = frame[17]
+        if width not in (16, 32):
+            raise MalformedFrame(f"bad address width {width}")
         slice_size = int.from_bytes(frame[18:22], "little")
         blob_len = int.from_bytes(frame[22:26], "little")
         if len(frame) != 26 + blob_len + MAC_BYTES:
@@ -180,8 +185,12 @@ class Prover:
 
     def handle_request(self, request: Request | bytes) -> None:
         if isinstance(request, (bytes, bytearray)):
-            request = Request.decode(bytes(request))
-        expected = _mac(self._key, _REQUEST_DOMAIN, request.body())
+            frame = bytes(request)
+            request = Request.decode(frame)
+            body = frame[:-MAC_BYTES]  # the bytes received, not a re-encoding
+        else:
+            body = request.body()
+        expected = _mac(self._key, _REQUEST_DOMAIN, body)
         if not hmac.compare_digest(expected, request.mac):
             raise AuthError("bad_mac", "request authentication failed")
         if (

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from cfaudit import protocol
 from cfaudit.cli import main
 from cfaudit.codec import (
     deserialize_log,
@@ -162,6 +163,18 @@ class TestSimulate:
         assert code == 1
         out = capsys.readouterr().out
         assert "authentic_but_invalid_path" in out and "invalid_index=50" in out
+
+    def test_verdict_prints_index_and_reason(self, tmp_path, capsys, monkeypatch):
+        verdict = protocol.Verdict(
+            protocol.Outcome.AUTHENTIC_BUT_INVALID_PATH, invalid_index=12, reason="why"
+        )
+        monkeypatch.setattr(protocol, "run_session", lambda *a, **k: verdict)
+        fixtures = write_fixture_files(tmp_path / "fx")
+        code = run("simulate", fixtures["sensor.cfg"], "--key", fixtures["demo.key"],
+                   "--steps", 50, "--report", tmp_path / "r.json")
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "verdict authentic_but_invalid_path invalid_index=12 reason=why" in out
 
 
 class TestBadInput:

@@ -14,15 +14,18 @@ from cfaudit.errors import (
 )
 from cfaudit.model import (
     EngineConfig,
+    Mode,
     RepeatCount,
+    RawDest,
     RawPair,
     SubPathSpec,
     Symbol,
     Transfer,
     make_log,
 )
+from cfaudit.oracle import oracle_slice_compress
 
-from conftest import random_instance
+from conftest import CONFIG_GRID, random_instance
 
 PAIR16 = EngineConfig()
 A, B, D, G, X, Y = 0x0400, 0x0500, 0x0600, 0x0700, 0x0410, 0x0510
@@ -384,3 +387,120 @@ def test_sliced_expansion_property(ts, slice_size):
         assert s.size_bytes <= slice_size
         elements.extend(expand(s, specs, config).elements)
     assert tuple(elements) == encode_raw(trace, config).elements
+
+
+# --- transition-table engine against the oracle -------------------------------
+
+@st.composite
+def grid_instances(draw):
+    """A CONFIG_GRID config with retry on or off and a slice budget from one
+    raw element to 64 bytes, a four-address trace, and up to eight specs
+    drawn mostly from its windows, so some transfers fall outside them."""
+    base = draw(st.sampled_from(CONFIG_GRID))
+    config = EngineConfig(
+        mode=base.mode,
+        addr_width=base.addr_width,
+        slice_size_bytes=draw(st.integers(base.raw_element_bytes, 64)),
+        retry_on_mismatch=draw(st.booleans()),
+    )
+    lo = config.min_code_addr
+    addr = st.sampled_from([lo, lo + 0x10, lo + 0x100, config.counter_tag - 1])
+    trace = draw(st.lists(st.builds(Transfer, addr, addr), max_size=120))
+    keys = trace if config.mode is Mode.PAIR else [t.dest for t in trace]
+    specs, seen = [], set()
+    for _ in range(draw(st.integers(0, 8))):
+        if keys and draw(st.integers(0, 3)):
+            length = draw(st.integers(1, min(8, len(keys))))
+            start = draw(st.integers(0, len(keys) - length))
+            entries = tuple(keys[start : start + length])
+        else:
+            one = st.builds(Transfer, addr, addr) if config.mode is Mode.PAIR else addr
+            entries = tuple(draw(st.lists(one, min_size=1, max_size=4)))
+        if entries not in seen:
+            seen.add(entries)
+            specs.append(SubPathSpec(len(specs) + 1, entries))
+    return trace, specs, config
+
+
+def assert_exact_types(elements, config):
+    """Raw elements are RawPair/RawDest themselves, never the caller's
+    Transfer, which compares equal as a tuple."""
+    raw = RawPair if config.mode is Mode.PAIR else RawDest
+    assert all(type(e) in (raw, Symbol, RepeatCount) for e in elements)
+
+
+@given(grid_instances())
+@settings(max_examples=300, deadline=None)
+def test_slices_equal_oracle_across_grid(inst):
+    trace, specs, config = inst
+    ours = slice_compress(trace, specs, config)
+    oracle = oracle_slice_compress(trace, specs, config)
+    assert [s.elements for s in ours] == [s.elements for s in oracle]
+    assert [s.size_bytes for s in ours] == [s.size_bytes for s in oracle]
+    for s in ours:
+        assert_exact_types(s.elements, config)
+
+
+@given(grid_instances())
+@settings(max_examples=150, deadline=None)
+def test_step_by_step_equals_one_bulk_call(inst):
+    trace, specs, config = inst
+    stepped, bulk = Engine(specs, config), Engine(specs, config)
+    for t in trace:
+        stepped.step(t)
+    assert bulk.feed(trace) == []
+    assert stepped.snapshot() == bulk.snapshot()
+    assert_exact_types(stepped.snapshot(), config)
+    assert stepped.size_bytes == bulk.size_bytes
+    assert stepped.hits == bulk.hits
+    log = stepped.finalize()
+    assert log == bulk.finalize()
+    assert_exact_types(log.elements, config)
+
+
+class TestErrorParity:
+    """Invalid transfers raise wherever they arrive and leave the engine in
+    the state it reached before them."""
+
+    DEST16 = EngineConfig(mode=Mode.DEST)
+    PREFIXES = {
+        "mid_match": ([ABD_SPEC], ABD_TRACE[:2]),
+        "outside_alphabet": ([ABD_SPEC], pairs((G, X), (X, Y))),
+        "no_specs": ([], ABD_TRACE[:2]),
+    }
+    BAD = [
+        (Transfer(0x0100, B), AddressOutOfRange),
+        (Transfer(A, 0x8000), AddressOutOfRange),
+        (Transfer(None, B), ModeMismatch),
+    ]
+
+    @pytest.mark.parametrize("where", sorted(PREFIXES))
+    @pytest.mark.parametrize("bad, error", BAD)
+    def test_pair_mode(self, where, bad, error):
+        specs, prefix = self.PREFIXES[where]
+        self.check(specs, prefix, bad, error, PAIR16)
+
+    @pytest.mark.parametrize("where", sorted(PREFIXES))
+    @pytest.mark.parametrize("dest", [0x0100, 0x8000])
+    def test_dest_mode(self, where, dest):
+        specs, prefix = self.PREFIXES[where]
+        specs = [SubPathSpec(s.id, tuple(e.dest for e in s.entries)) for s in specs]
+        self.check(specs, prefix, Transfer(A, dest), AddressOutOfRange, self.DEST16)
+
+    def check(self, specs, prefix, bad, error, config):
+        eng = Engine(specs, config)
+        for t in prefix:
+            eng.step(t)
+        before = eng.snapshot(), eng.size_bytes
+        for _ in range(2):  # a rejected transfer is never remembered as checked
+            with pytest.raises(error):
+                eng.step(bad)
+            assert (eng.snapshot(), eng.size_bytes) == before
+        bulk = Engine(specs, config)
+        with pytest.raises(error):
+            bulk.feed(prefix + [bad] + prefix)
+        assert (bulk.snapshot(), bulk.size_bytes) == before
+        with pytest.raises(error):
+            compress_trace(prefix + [bad], specs, config)
+        with pytest.raises(error):
+            slice_compress(prefix + [bad], specs, config)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cfaudit.codec import encode_raw, serialize_log
-from cfaudit.errors import AuthError, ConfigMismatch, ProtocolError
+from cfaudit.errors import AuthError, ConfigMismatch, MalformedFrame, ProtocolError
 from cfaudit.fixtures import sensor_cfg, sensor_profile
 from cfaudit.model import EngineConfig, Mode, SubPathSpec, Transfer
 from cfaudit.protocol import (
@@ -27,6 +27,8 @@ CONFIG = EngineConfig(slice_size_bytes=64)
 A, B, D, G = 0x0400, 0x0500, 0x0600, 0x0700
 SPEC = SubPathSpec(1, (Transfer(A, B), Transfer(B, D)))
 TRACE = [Transfer(A, B), Transfer(B, D), Transfer(D, G)] * 30
+DEST_CONFIG = EngineConfig(mode=Mode.DEST, slice_size_bytes=64)
+DEST_SPEC = SubPathSpec(1, (B, D))
 
 
 def session(specs=(SPEC,), trace=TRACE, faults=None, config=CONFIG, key=KEY):
@@ -81,6 +83,42 @@ class TestRequest:
         req = make_request(OTHER_KEY, new_challenge(), [SPEC], CONFIG)
         with pytest.raises(AuthError):
             Prover(KEY, CONFIG).handle_request(req)
+
+    def test_decode_rejects_mode_byte_outside_0_1(self):
+        frame = bytearray(make_request(KEY, new_challenge(), [], DEST_CONFIG).encode())
+        frame[16] = 7
+        with pytest.raises(MalformedFrame):
+            Request.decode(bytes(frame))
+
+    def test_decode_rejects_width_outside_16_32(self):
+        frame = bytearray(make_request(KEY, new_challenge(), [SPEC], CONFIG).encode())
+        frame[17] = 8
+        with pytest.raises(MalformedFrame):
+            Request.decode(bytes(frame))
+
+    def test_non_canonical_mode_byte_does_not_install(self):
+        # byte 16 of a dest-mode request changed from 1 to 7
+        prover = Prover(KEY, DEST_CONFIG)
+        frame = bytearray(make_request(KEY, new_challenge(), [DEST_SPEC], DEST_CONFIG).encode())
+        frame[16] = 7
+        with pytest.raises(MalformedFrame):
+            prover.handle_request(bytes(frame))
+        assert prover.specs == () and prover.challenge is None
+
+    def test_request_mac_covers_received_bytes(self, monkeypatch):
+        # even a decoder that read mode byte 7 as dest mode would not let
+        # the frame through: the MAC is checked over the bytes received
+        def lenient(cls, frame):
+            return Request(frame[:16], frame[26:-32], Mode.DEST, frame[17],
+                           int.from_bytes(frame[18:22], "little"), frame[-32:])
+
+        frame = bytearray(make_request(KEY, new_challenge(), [DEST_SPEC], DEST_CONFIG).encode())
+        frame[16] = 7
+        monkeypatch.setattr(Request, "decode", classmethod(lenient))
+        prover = Prover(KEY, DEST_CONFIG)
+        with pytest.raises(AuthError):
+            prover.handle_request(bytes(frame))
+        assert prover.specs == () and prover.challenge is None
 
     def test_config_echo_mismatch(self):
         req = make_request(KEY, new_challenge(), [SPEC], CONFIG)
