@@ -124,9 +124,17 @@ def _choose_specs(args, config: EngineConfig, logs, graph) -> list:
     )
 
 
+def _declared(args, flag: str, values: list):
+    """The one value the trace files declare for ``flag``; files that
+    disagree need the flag to settle it."""
+    if getattr(args, flag) is None and len(set(values)) > 1:
+        shown = ", ".join(sorted({str(getattr(v, "value", v)) for v in values}))
+        raise AuditError(f"trace files declare different {flag}s ({shown}); pass --{flag}")
+    return values[0] if values else None
+
+
 def _cmd_select(args) -> int:
-    config = _config(args)
-    logs, graph = [], None
+    docs, graph = [], None
     if args.policy == "static":
         if not args.cfg:
             raise AuditError("static policy needs --cfg")
@@ -134,9 +142,12 @@ def _cmd_select(args) -> int:
     else:
         if not args.trace:
             raise AuditError(f"policy {args.policy} needs at least one --trace")
-        for t in args.trace:
-            mode, width, trace = files.parse_trace_document(Path(t).read_text())
-            logs.append(codec.encode_raw(trace, _config(args, mode, width)))
+        docs = [files.parse_trace_document(Path(t).read_text()) for t in args.trace]
+    # one config encodes every log, mines and estimates: flags win, else
+    # the mode and width the trace files declare
+    config = _config(args, _declared(args, "mode", [d[0] for d in docs]),
+                     _declared(args, "width", [d[1] for d in docs]))
+    logs = [codec.encode_raw(trace, config) for _, _, trace in docs]
     specs = _choose_specs(args, config, logs, graph)
     if logs:  # static specs have no prior log to estimate against
         for spec in specs:

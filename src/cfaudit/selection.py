@@ -22,6 +22,7 @@ from .cfg import (
     segment_cfg,
 )
 from .codec import blockmem_block_bytes
+from .engine import compress_trace
 from .errors import ModeMismatch
 from .model import (
     EngineConfig,
@@ -33,7 +34,7 @@ from .model import (
     Transfer,
     raw_transfers,
 )
-from .oracle import oracle_compress
+from .oracle import oracle_compress  # noqa: F401  perfbench/run.py traces this name
 
 DEFAULT_LEN_RANGE = (2, 16)
 
@@ -66,12 +67,6 @@ def _log_keys(log: Log, mode: Mode) -> list:
     return keys
 
 
-def _entries_of(window: tuple, mode: Mode) -> tuple:
-    if mode is Mode.PAIR:
-        return tuple(Transfer(s, d) for s, d in window)
-    return window
-
-
 def enumerate_candidates(
     logs: Iterable[Log],
     len_range: tuple[int, int] = DEFAULT_LEN_RANGE,
@@ -79,29 +74,52 @@ def enumerate_candidates(
     mode: Mode = Mode.PAIR,
 ) -> list[Candidate]:
     """Every distinct contiguous window with length in ``len_range``,
-    counted greedily left-to-right without overlap, summed over logs."""
+    counted greedily left-to-right without overlap, summed over logs.
+
+    Windows are hash-consed into a trie of node ids: each distinct key is
+    interned to a small int, and a window's node is its one-shorter
+    prefix's node extended by its last key id, one int lookup in ``child``.
+    A node fixes its window's length, so one greedy ``next_free`` per node
+    counts per (length, window).  Positions run on from log to log, so an
+    occurrence in one log never blocks one in the next."""
     lo, hi = len_range
     if lo < 1 or hi < lo:
         raise ValueError(f"bad len_range {len_range}: need 1 <= lo <= hi")
-    counts: dict[tuple, int] = {}
-    for log in logs:
-        keys = _log_keys(log, mode)
-        n = len(keys)
-        for length in range(lo, hi + 1):
-            if length > n:
-                break
-            next_free: dict[tuple, int] = {}
-            for i in range(n - length + 1):
-                window = tuple(keys[i : i + length])
+    key_ids: dict = {}
+    seqs = [[key_ids.setdefault(k, len(key_ids)) for k in _log_keys(log, mode)]
+            for log in logs]
+    objs = [Transfer(*k) for k in key_ids] if mode is Mode.PAIR else list(key_ids)
+    radix = len(objs) or 1
+    child: dict[int, int] = {}  # node * radix + key id -> node
+    find = child.get
+    entries: list[tuple] = [()]  # per node; node 0 is the empty window
+    count, next_free = [0], [0]
+    start = 0  # position of the current log's first key across all logs
+    for ids in seqs:
+        n = len(ids)
+        for i in range(n):
+            node = 0
+            at = start + i
+            first = i + lo - 1  # last key index of the shortest counted window
+            for j in range(i, min(i + hi, n)):
+                edge = node * radix + ids[j]
+                node_next = find(edge)
+                if node_next is None:
+                    node_next = child[edge] = len(entries)
+                    entries.append(entries[node] + (objs[ids[j]],))
+                    count.append(0)
+                    next_free.append(0)
+                node = node_next
                 # greedy: an occurrence counts only if it starts at or after
                 # the end of the previously counted one
-                if next_free.get(window, 0) <= i:
-                    counts[window] = counts.get(window, 0) + 1
-                    next_free[window] = i + length
-    return [
-        Candidate(_entries_of(w, mode), c)
-        for w, c in sorted(counts.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    ]
+                if j >= first and next_free[node] <= at:
+                    count[node] += 1
+                    next_free[node] = start + j + 1
+        start += n
+    return sorted(
+        (Candidate(e, c) for e, c in zip(entries, count) if c),
+        key=lambda c: (len(c.entries), c.entries),
+    )
 
 
 def _is_nested(a: tuple, b: tuple) -> bool:
@@ -313,5 +331,5 @@ def estimate_savings(
     saved = 0
     for log in logs:
         trace = raw_transfers(log)
-        saved += log.size_bytes - oracle_compress(trace, [spec], config).size_bytes
+        saved += log.size_bytes - compress_trace(trace, [spec], config).size_bytes
     return saved - blockmem_block_bytes(spec.length, config)

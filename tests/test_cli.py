@@ -23,6 +23,7 @@ from cfaudit.files import (
 from cfaudit.fixtures import DEMO_KEY, write_fixture_files
 from cfaudit.model import EngineConfig, Mode, SubPathSpec, Transfer
 from cfaudit.monitor import AccessEvent
+from cfaudit.selection import estimate_savings
 
 A, B, D = 0x0400, 0x0500, 0x0600
 CONFIG = EngineConfig()
@@ -133,6 +134,60 @@ class TestSelect:
     def test_missing_inputs(self, workdir, tmp_path):
         assert run("select", "--policy", "top", "-o", tmp_path / "x") == 1
         assert run("select", "--policy", "static", "-o", tmp_path / "x") == 1
+
+    @staticmethod
+    def select_traces(tmp_path, capsys, docs, *flags):
+        """Write ``docs`` as trace files, run ``select --policy top`` over
+        them; return the exit code, printed savings, written specs and
+        stderr."""
+        paths = []
+        for i, (trace, mode, width) in enumerate(docs):
+            paths.append(tmp_path / f"{i}.trace")
+            paths[-1].write_text(write_trace_document(trace, mode, width))
+        out = tmp_path / "top.specs"
+        out.unlink(missing_ok=True)
+        capsys.readouterr()
+        code = run("select", "--policy", "top", *[a for p in paths for a in ("--trace", p)],
+                   "-o", out, *flags)
+        printed = capsys.readouterr()
+        saved = [int(line.split()[-1]) for line in printed.out.splitlines()
+                 if line.startswith("spec ")]
+        specs = parse_spec_document(out.read_text()) if out.exists() else None
+        return code, saved, specs, printed.err
+
+    @staticmethod
+    def library_savings(specs, traces, config):
+        logs = [encode_raw(t, config) for t in traces]
+        return [estimate_savings(s, logs, config) for s in specs]
+
+    def test_32_bit_trace_sets_the_width(self, tmp_path, capsys):
+        code, saved, (mode, specs), _ = self.select_traces(
+            tmp_path, capsys, [(TRACE, Mode.PAIR, 32)])
+        assert code == 0 and mode is Mode.PAIR and specs
+        wide = EngineConfig(addr_width=32)
+        assert saved == self.library_savings(specs, [TRACE], wide)
+        assert saved != self.library_savings(specs, [TRACE], CONFIG)
+
+    def test_dest_trace_sets_the_mode(self, tmp_path, capsys):
+        dest = [Transfer(None, t.dest) for t in TRACE]
+        code, saved, (mode, specs), _ = self.select_traces(
+            tmp_path, capsys, [(dest, Mode.DEST, 16)])
+        assert code == 0 and mode is Mode.DEST and specs
+        assert saved == self.library_savings(specs, [dest], EngineConfig(mode=Mode.DEST))
+
+    def test_traces_that_disagree_need_a_flag(self, tmp_path, capsys):
+        mixed = [(TRACE, Mode.PAIR, 16), (TRACE, Mode.PAIR, 32)]
+        code, saved, specs, err = self.select_traces(tmp_path, capsys, mixed)
+        assert (code, saved, specs) == (1, [], None)
+        assert "error: trace files declare different widths (16, 32); pass --width" in err
+        code, saved, (_, specs), _ = self.select_traces(tmp_path, capsys, mixed, "--width", 32)
+        wide = EngineConfig(addr_width=32)
+        assert code == 0 and saved == self.library_savings(specs, [TRACE, TRACE], wide)
+        dest = [Transfer(None, t.dest) for t in TRACE]
+        code, _, specs, err = self.select_traces(
+            tmp_path, capsys, [(TRACE, Mode.PAIR, 16), (dest, Mode.DEST, 16)])
+        assert (code, specs) == (1, None)
+        assert "error: trace files declare different modes (dest, pair); pass --mode" in err
 
 
 class TestSimulate:

@@ -1,16 +1,35 @@
+import dataclasses
+import hashlib
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfaudit.codec import blockmem_block_bytes, encode_raw, serialize_blockmem
+from cfaudit.errors import ModeMismatch
 from cfaudit.fixtures import (
     BRANCHY_LEN_RANGE,
+    SENSOR_LEN_RANGE,
     branchy_cfg,
     branchy_profile,
+    sensor_cfg,
+    sensor_profile,
     static_demo_cfg,
 )
-from cfaudit.model import EngineConfig, Mode, SubPathSpec, Transfer
+from cfaudit.model import (
+    EngineConfig,
+    Mode,
+    RawDest,
+    RawPair,
+    SubPathSpec,
+    Symbol,
+    Transfer,
+    make_log,
+    raw_transfers,
+)
+from cfaudit.oracle import oracle_compress
 from cfaudit.selection import (
     Candidate,
     choose,
@@ -24,7 +43,7 @@ from cfaudit.selection import (
 )
 from cfaudit.workload import generate_trace
 
-from conftest import random_trace
+from conftest import CONFIG_GRID, random_specs, random_trace
 
 PAIR16 = EngineConfig()
 DEST16 = EngineConfig(mode=Mode.DEST)
@@ -91,6 +110,85 @@ class TestEnumerate:
         best = max(cands, key=lambda c: c.count)
         assert best.count == 2
         assert best.entries == (Transfer(0x0400, 0x0500), Transfer(0x0500, 0x0400))
+
+
+def _reference_enumerate(logs, len_range, mode):
+    """The per-length tuple-window miner that the interned trie replaced:
+    one fresh key tuple per window, one greedy ``next_free`` per length."""
+    lo, hi = len_range
+    counts = {}
+    for log in logs:
+        if mode is Mode.PAIR:
+            keys = [(e.src, e.dest) for e in log.elements]
+        else:
+            keys = [e.dest for e in log.elements]
+        n = len(keys)
+        for length in range(lo, hi + 1):
+            if length > n:
+                break
+            next_free = {}
+            for i in range(n - length + 1):
+                window = tuple(keys[i : i + length])
+                if next_free.get(window, 0) <= i:
+                    counts[window] = counts.get(window, 0) + 1
+                    next_free[window] = i + length
+    return [
+        Candidate(tuple(Transfer(*k) for k in w) if mode is Mode.PAIR else w, c)
+        for w, c in sorted(counts.items(), key=lambda kv: (len(kv[0]), kv[0]))
+    ]
+
+
+@st.composite
+def mining_inputs(draw):
+    """0-3 raw logs over a 1-4 address alphabet (so windows repeat) and a
+    length range from lo = 1 up to past the longest log."""
+    config = draw(st.sampled_from([PAIR16, DEST16]))
+    alphabet = [0x0400 + 0x10 * k for k in range(draw(st.integers(1, 4)))]
+    addr = st.sampled_from(alphabet)
+    transfer = st.builds(Transfer, addr, addr)
+    traces = draw(st.lists(st.lists(transfer, max_size=40), max_size=3))
+    if config.mode is Mode.DEST:
+        traces = [[Transfer(None, t.dest) for t in trace] for trace in traces]
+    lo = draw(st.integers(1, 5))
+    hi = draw(st.integers(lo, 45))
+    return [encode_raw(t, config) for t in traces], (lo, hi), config.mode
+
+
+class TestMiningParity:
+    @settings(max_examples=300, deadline=None)
+    @given(mining_inputs())
+    def test_equals_reference(self, case):
+        logs, len_range, mode = case
+        got = enumerate_candidates(logs, len_range, mode=mode)
+        assert got == _reference_enumerate(logs, len_range, mode)
+        entry_type = Transfer if mode is Mode.PAIR else int
+        assert all(type(e) is entry_type for c in got for e in c.entries)
+
+    @pytest.mark.parametrize("cfg, profile, len_range, n, digest", [
+        (sensor_cfg, sensor_profile, SENSOR_LEN_RANGE, 175,
+         "34bda30b69c49474743755354fe74afae759100d5c24af1727fd2966b38b7544"),
+        (branchy_cfg, branchy_profile, BRANCHY_LEN_RANGE, 2531,
+         "50c2cba8a90f1838b4c0ce991ae7bc706d699301abf9dd81d6af8c606b54a7bd"),
+    ])
+    def test_fixture_priors_pinned(self, cfg, profile, len_range, n, digest):
+        log = encode_raw(generate_trace(cfg(), profile()), PAIR16)
+        got = enumerate_candidates([log], len_range, mode=Mode.PAIR)
+        assert len(got) == n
+        pairs = repr([(c.entries, c.count) for c in got]).encode()
+        assert hashlib.sha256(pairs).hexdigest() == digest
+
+    def test_mode_mismatch(self):
+        pair_log = encode_raw([Transfer(0x0400, 0x0500)], PAIR16)
+        with pytest.raises(ModeMismatch, match="pair elements in dest-mode"):
+            enumerate_candidates([pair_log], (1, 2), mode=Mode.DEST)
+        with pytest.raises(ModeMismatch, match="dest elements in pair-mode"):
+            enumerate_candidates([dest_log("AB")], (1, 2), mode=Mode.PAIR)
+
+    def test_compressed_elements_rejected(self):
+        for config, raw in ((PAIR16, RawPair(0x0400, 0x0500)), (DEST16, RawDest(0x0400))):
+            log = make_log([raw, Symbol(1)], config)
+            with pytest.raises(ValueError, match="must be raw"):
+                enumerate_candidates([log], (1, 2), mode=config.mode)
 
 
 def cand(letters, count):
@@ -308,6 +406,44 @@ class TestEstimateSavings:
         spec = SubPathSpec(1, (Transfer(0x0400, 0x0500),))
         log = encode_raw([], PAIR16)
         assert estimate_savings(spec, [log], PAIR16) == -blockmem_block_bytes(1, PAIR16)
+
+
+def oracle_savings(spec, logs, config):
+    """``estimate_savings`` as computed before it ran on the engine."""
+    saved = sum(
+        log.size_bytes - oracle_compress(raw_transfers(log), [spec], config).size_bytes
+        for log in logs
+    )
+    return saved - blockmem_block_bytes(spec.length, config)
+
+
+class TestSavingsParity:
+    @pytest.mark.parametrize("cfg, profile, len_range", [
+        (sensor_cfg, sensor_profile, SENSOR_LEN_RANGE),
+        (branchy_cfg, branchy_profile, BRANCHY_LEN_RANGE),
+    ])
+    def test_fixture_priors_top_specs(self, cfg, profile, len_range):
+        logs = [encode_raw(generate_trace(cfg(), profile()), PAIR16)]
+        specs = policy_top(enumerate_candidates(logs, len_range, mode=Mode.PAIR), 8)
+        assert len(specs) == 8
+        for spec in specs:
+            assert estimate_savings(spec, logs, PAIR16) == oracle_savings(spec, logs, PAIR16)
+
+    @pytest.mark.parametrize("retry", [False, True])
+    @pytest.mark.parametrize("base", CONFIG_GRID, ids=lambda c: f"{c.mode.value}{c.addr_width}")
+    def test_config_grid(self, base, retry):
+        config = dataclasses.replace(base, retry_on_mismatch=retry)
+        rng = random.Random(2 * CONFIG_GRID.index(base) + retry)
+        for _ in range(15):
+            traces = [random_trace(rng, config, rng.randint(0, 120)) for _ in range(3)]
+            if config.mode is Mode.DEST:
+                traces = [[Transfer(None, t.dest) for t in trace] for trace in traces]
+            logs = [encode_raw(t, config) for t in traces]
+            for n_logs in (1, 3):  # one log, then a multi-log input
+                for spec in random_specs(rng, config, traces[0], max_len=6):
+                    assert estimate_savings(spec, logs[:n_logs], config) == oracle_savings(
+                        spec, logs[:n_logs], config
+                    )
 
 
 class TestChoose:
