@@ -70,9 +70,6 @@ class CFG:
     def out_edges(self, block_id: str) -> list[Edge]:
         return [e for e in self.edges if e.src == block_id]
 
-    def transfer_of(self, edge: Edge) -> Transfer:
-        return Transfer(self.blocks[edge.src].end, self.blocks[edge.dest].start)
-
     def valid_pairs(self) -> frozenset[tuple[int, int]]:
         return frozenset(
             (self.blocks[e.src].end, self.blocks[e.dest].start) for e in self.edges
@@ -242,9 +239,6 @@ class Segment:
     boundary_kind: str
     edges: tuple[Edge, ...] = ()  # internal forward edges only
     links: tuple[SegmentLink, ...] = ()
-
-    def successors(self) -> frozenset[int]:
-        return frozenset(l.dest for l in self.links)
 
 
 def _is_cut(edge: Edge, loops: LoopInfo) -> bool:

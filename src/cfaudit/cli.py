@@ -23,7 +23,7 @@ from . import cfg as cfgmod
 from . import codec, files, metrics, protocol, selection, workload
 from .engine import compress_trace, expand
 from .errors import AuditError
-from .model import EngineConfig, LogFormat, Mode, Transfer, raw_transfers
+from .model import EngineConfig, LogFormat, Mode, Transfer
 from .monitor import Region, RegionMap, run_monitor
 
 _FORMATS = {"image": LogFormat.MEMORY_IMAGE, "tagged": LogFormat.PORTABLE_TAGGED}
@@ -102,11 +102,10 @@ def _cmd_expand(args) -> int:
         )
     log = codec.deserialize_log(Path(args.log).read_bytes(), config, _FORMATS[args.format])
     raw = expand(log, specs, config)
-    trace = raw_transfers(raw)
     Path(args.out).write_text(
-        files.write_trace_document(trace, config.mode, config.addr_width)
+        files.write_trace_document(raw.elements, config.mode, config.addr_width)
     )
-    print(f"expanded {len(log.elements)} elements to {len(trace)} transfers")
+    print(f"expanded {len(log.elements)} elements to {len(raw.elements)} transfers")
     return 0
 
 

@@ -47,7 +47,7 @@ from .model import (
     Symbol,
     Transfer,
     check_address,
-    make_log,
+    validate_spec_set,
 )
 
 TAG_RAW_PAIR = 0x00
@@ -70,7 +70,7 @@ def encode_raw(trace: Iterable[Transfer], config: EngineConfig) -> Log:
         for t in trace:
             check_address(t.dest, config)
             elements.append(RawDest(t.dest))
-    return make_log(elements, config)
+    return Log(tuple(elements), len(elements) * config.raw_element_bytes)
 
 
 def _image_address(value: int, config: EngineConfig) -> int:
@@ -233,11 +233,12 @@ def _deserialize_tagged(data: bytes, config: EngineConfig) -> list:
 
 
 def deserialize_log(data: bytes, config: EngineConfig, fmt: LogFormat = LogFormat.MEMORY_IMAGE) -> Log:
+    """Decode a whole log; its size is the word bytes it was read from
+    (all of ``data``, less one tag byte per element when tagged)."""
     if fmt is LogFormat.MEMORY_IMAGE:
-        elements = _deserialize_image(data, config)
-    else:
-        elements = _deserialize_tagged(data, config)
-    return make_log(elements, config)
+        return Log(tuple(_deserialize_image(data, config)), len(data))
+    elements = _deserialize_tagged(data, config)
+    return Log(tuple(elements), len(data) - len(elements))
 
 
 def blockmem_block_bytes(entry_count: int, config: EngineConfig) -> int:
@@ -251,24 +252,17 @@ def serialize_blockmem(
     config: EngineConfig,
     capacity_bytes: int | None = None,
 ) -> BlockMemImage:
+    validate_spec_set(specs, config)
     w = config.word_bytes
     out = bytearray()
-    seen: set[int] = set()
     for spec in specs:
-        if spec.id in seen:
-            raise DuplicateId(f"spec id {spec.id} appears twice")
-        seen.add(spec.id)
-        if spec.mode is not config.mode:
-            raise ModeMismatch(
-                f"spec {spec.id} is {spec.mode.value}-mode, config is {config.mode.value}"
-            )
         out += ((spec.id << 8) | spec.length).to_bytes(w, "little")
         for e in spec.entries:
             if isinstance(e, int):
-                out += check_address(e, config).to_bytes(w, "little")
+                out += e.to_bytes(w, "little")
             else:
-                out += check_address(e.src, config).to_bytes(w, "little")
-                out += check_address(e.dest, config).to_bytes(w, "little")
+                out += e.src.to_bytes(w, "little")
+                out += e.dest.to_bytes(w, "little")
     if capacity_bytes is not None and len(out) > capacity_bytes:
         raise CapacityExceeded(
             f"block memory needs {len(out)} bytes, capacity is {capacity_bytes}"

@@ -52,7 +52,6 @@ from .model import (
     SubPathSpec,
     Symbol,
     Transfer,
-    make_log,
     validate_spec_set,
 )
 
@@ -264,13 +263,15 @@ def expand(log: Log, specs: Sequence[SubPathSpec], config: EngineConfig) -> Log:
     a count of k after a symbol yields k occurrences in total."""
     by_id = {s.id: s for s in specs}
     pair = config.mode is Mode.PAIR
+    raw, other = (RawPair, RawDest) if pair else (RawDest, RawPair)
     out: list = []
     prev_entries: list | None = None
     for el in log.elements:
-        if isinstance(el, (RawPair, RawDest)):
+        kind = type(el)
+        if kind is raw:
             out.append(el)
             prev_entries = None
-        elif isinstance(el, Symbol):
+        elif kind is Symbol:
             spec = by_id.get(el.id)
             if spec is None:
                 raise UnknownSymbol(f"symbol {el.id} has no installed spec")
@@ -281,12 +282,14 @@ def expand(log: Log, specs: Sequence[SubPathSpec], config: EngineConfig) -> Log:
             else:
                 prev_entries = [RawDest(a) for a in spec.entries]
             out.extend(prev_entries)
-        elif isinstance(el, RepeatCount):
+        elif kind is RepeatCount:
             if prev_entries is None:
                 raise MalformedLog("repeat count not preceded by a symbol")
             for _ in range(el.count - 1):
                 out.extend(prev_entries)
             prev_entries = None
+        elif kind is other:
+            raise ModeMismatch(f"{other.__name__} element in {config.mode.value}-mode log")
         else:
             raise MalformedLog(f"unknown log element {el!r}")
-    return make_log(out, config)
+    return Log(tuple(out), len(out) * config.raw_element_bytes)

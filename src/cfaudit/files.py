@@ -30,6 +30,8 @@ KEY_BYTES = 32
 
 
 def write_trace_document(trace: Sequence[Transfer], mode: Mode, addr_width: int) -> str:
+    """Reads only ``.src`` and ``.dest`` (``.dest`` alone in dest mode), so
+    raw log elements serve as well as transfers."""
     lines = [f"mode {mode.value}", f"width {addr_width}"]
     if mode is Mode.PAIR:
         for t in trace:

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .codec import encode_raw, serialize_blockmem
+from .codec import serialize_blockmem
 from .engine import Engine, slice_compress
 from .model import EngineConfig, SubPathSpec, Transfer
 
@@ -54,13 +54,15 @@ def build_report(
     config: EngineConfig,
     include_baseline: bool = False,
 ) -> MetricsReport:
-    raw = encode_raw(trace, config)
+    # the engine pass range- and mode-checks every transfer, so the raw
+    # size is plain arithmetic
+    raw_bytes = len(trace) * config.raw_element_bytes
     engine = Engine(specs, config)
     engine.feed(trace)
     compressed = engine.finalize()
     blockmem = len(serialize_blockmem(specs, config).data)
     reduction = (
-        0.0 if raw.size_bytes == 0 else 100.0 * (1 - compressed.size_bytes / raw.size_bytes)
+        0.0 if raw_bytes == 0 else 100.0 * (1 - compressed.size_bytes / raw_bytes)
     )
     slice_count = len(slice_compress(trace, specs, config))
     baseline = len(slice_compress(trace, (), config)) if include_baseline else None
@@ -68,7 +70,7 @@ def build_report(
         label=label,
         mode=config.mode.value,
         addr_width=config.addr_width,
-        raw_bytes=raw.size_bytes,
+        raw_bytes=raw_bytes,
         compressed_bytes=compressed.size_bytes,
         blockmem_bytes=blockmem,
         total_bytes=compressed.size_bytes + blockmem,

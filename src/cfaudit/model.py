@@ -128,14 +128,6 @@ def check_address(value: int, config: EngineConfig) -> int:
     return value
 
 
-def element_words(element: LogElement) -> int:
-    return 2 if isinstance(element, RawPair) else 1
-
-
-def log_size_bytes(elements: Iterable[LogElement], config: EngineConfig) -> int:
-    return sum(element_words(e) for e in elements) * config.word_bytes
-
-
 @dataclass(frozen=True)
 class Log:
     """An ordered element sequence plus its encoded size in bytes."""
@@ -148,21 +140,12 @@ class Log:
 
 
 def make_log(elements: Iterable[LogElement], config: EngineConfig) -> Log:
+    """A log sized by counting its words (two per ``RawPair``, one per
+    other element).  The library's producers size their logs as they
+    build them; this serves hand-built element lists."""
     elems = tuple(elements)
-    return Log(elems, log_size_bytes(elems, config))
-
-
-def raw_transfers(log: Log) -> list[Transfer]:
-    """Transfers of a raw-only log; rejects compressed elements."""
-    out: list[Transfer] = []
-    for e in log.elements:
-        if isinstance(e, RawPair):
-            out.append(Transfer(e.src, e.dest))
-        elif isinstance(e, RawDest):
-            out.append(Transfer(None, e.dest))
-        else:
-            raise ValueError(f"log is not raw: contains {e!r}")
-    return out
+    words = sum(2 if isinstance(e, RawPair) else 1 for e in elems)
+    return Log(elems, words * config.word_bytes)
 
 
 @dataclass(frozen=True)

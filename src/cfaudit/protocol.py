@@ -21,7 +21,7 @@ from __future__ import annotations
 import hmac
 import hashlib
 import secrets
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -32,7 +32,10 @@ from .errors import (
     AuthError,
     ConfigMismatch,
     MalformedFrame,
+    MalformedLog,
+    ModeMismatch,
     ProtocolError,
+    UnknownSymbol,
 )
 from .model import (
     EngineConfig,
@@ -43,8 +46,8 @@ from .model import (
     RawPair,
     SubPathSpec,
     Transfer,
-    make_log,
 )
+from .model import make_log  # noqa: F401  perfbench/run.py traces this name
 
 CHALLENGE_BYTES = 16
 MAC_BYTES = 32
@@ -163,9 +166,7 @@ def make_request(
         config.slice_size_bytes,
         b"",
     )
-    mac = _mac(key, _REQUEST_DOMAIN, req.body())
-    return Request(challenge, blockmem, config.mode, config.addr_width,
-                   config.slice_size_bytes, mac)
+    return replace(req, mac=_mac(key, _REQUEST_DOMAIN, req.body()))
 
 
 def _slice_mac(key: bytes, challenge: bytes, body: bytes) -> bytes:
@@ -219,15 +220,7 @@ class Prover:
             s = EvidenceSlice(
                 self._next_seq, final, payload, b"", image_digest if final else None
             )
-            slices.append(
-                EvidenceSlice(
-                    s.seq,
-                    final,
-                    payload,
-                    _slice_mac(self._key, self.challenge, s.body()),
-                    s.image_digest,
-                )
-            )
+            slices.append(replace(s, mac=_slice_mac(self._key, self.challenge, s.body())))
             self._next_seq += 1
         return slices
 
@@ -272,15 +265,16 @@ class Verifier:
         challenge: bytes | None = None,
         capacity_bytes: int | None = None,
     ) -> Request:
-        self.session_specs = tuple(specs)
+        specs = tuple(specs)
+        if specs:  # an empty blockmem keeps the installed specs, as on the prover
+            self.session_specs = specs
         self.challenge = challenge or new_challenge()
         self._expected_seq = 0
         self._payloads = []
         self._final_seen = False
         self._image_digest = None
         self.rejections = []
-        return make_request(self._key, self.challenge, self.session_specs,
-                            self.config, capacity_bytes)
+        return make_request(self._key, self.challenge, specs, self.config, capacity_bytes)
 
     def verify_slice(self, frame: EvidenceSlice | bytes) -> str:
         """Returns "accept" or a rejection reason; state only advances on
@@ -315,7 +309,10 @@ class Verifier:
         cfg: CFG | None = None,
         expected_digest: bytes | None = None,
     ) -> Verdict:
-        """Expand accepted slices into one raw log and judge the session."""
+        """Expand accepted slices into one raw log and judge the session.
+
+        An authentic payload that does not decode or expand under the
+        session's specs is an invalid path, reason ``malformed_payload``."""
         if not self._final_seen:
             if self.rejections:
                 return Verdict(Outcome.AUTH_FAILURE, reason=self.rejections[0][1])
@@ -323,10 +320,17 @@ class Verifier:
         if expected_digest is not None and self._image_digest != expected_digest:
             return Verdict(Outcome.AUTH_FAILURE, reason="bad_digest")
         elements: list = []
-        for payload in self._payloads:
-            log = deserialize_log(payload, self.config, LogFormat.MEMORY_IMAGE)
-            elements.extend(expand(log, self.session_specs, self.config).elements)
-        raw = make_log(elements, self.config)
+        try:
+            for payload in self._payloads:
+                log = deserialize_log(payload, self.config, LogFormat.MEMORY_IMAGE)
+                elements.extend(expand(log, self.session_specs, self.config).elements)
+        except (MalformedLog, UnknownSymbol, ModeMismatch):
+            return Verdict(
+                Outcome.AUTHENTIC_BUT_INVALID_PATH,
+                reason="malformed_payload",
+                image_digest=self._image_digest,
+            )
+        raw = Log(tuple(elements), len(elements) * self.config.raw_element_bytes)
         if cfg is not None:
             bad = validate_against_cfg(raw, cfg)
             if bad is not None:
@@ -347,7 +351,7 @@ def validate_against_cfg(raw_log: Log, cfg: CFG) -> int | None:
     dests = cfg.valid_dests()
     for i, el in enumerate(raw_log.elements):
         if isinstance(el, RawPair):
-            if (el.src, el.dest) not in pairs:
+            if el not in pairs:  # a RawPair hashes and compares as its tuple
                 return i
         elif isinstance(el, RawDest):
             if el.dest not in dests:

@@ -32,7 +32,6 @@ from .model import (
     RawPair,
     SubPathSpec,
     Transfer,
-    raw_transfers,
 )
 from .oracle import oracle_compress  # noqa: F401  perfbench/run.py traces this name
 
@@ -51,20 +50,17 @@ class Candidate:
         return len(self.entries)
 
 
-def _log_keys(log: Log, mode: Mode) -> list:
-    keys = []
+def _raw_elements(log: Log, mode: Mode) -> tuple:
+    """The elements of a raw log of ``mode``, as they are; another mode's
+    raw elements raise ``ModeMismatch``, compressed ones ``ValueError``."""
+    raw = RawPair if mode is Mode.PAIR else RawDest
     for e in log.elements:
-        if isinstance(e, RawPair):
-            if mode is not Mode.PAIR:
-                raise ModeMismatch("pair elements in dest-mode mining input")
-            keys.append((e.src, e.dest))
-        elif isinstance(e, RawDest):
-            if mode is not Mode.DEST:
-                raise ModeMismatch("dest elements in pair-mode mining input")
-            keys.append(e.dest)
-        else:
-            raise ValueError("mining input must be raw (expanded) logs")
-    return keys
+        if type(e) is not raw:
+            if isinstance(e, (RawPair, RawDest)):
+                other = "pair" if mode is Mode.DEST else "dest"
+                raise ModeMismatch(f"{other} elements in {mode.value}-mode input")
+            raise ValueError("input must be raw (expanded) logs")
+    return log.elements
 
 
 def enumerate_candidates(
@@ -85,10 +81,12 @@ def enumerate_candidates(
     lo, hi = len_range
     if lo < 1 or hi < lo:
         raise ValueError(f"bad len_range {len_range}: need 1 <= lo <= hi")
-    key_ids: dict = {}
-    seqs = [[key_ids.setdefault(k, len(key_ids)) for k in _log_keys(log, mode)]
+    key_ids: dict = {}  # a RawPair key hashes and compares as its tuple
+    pair = mode is Mode.PAIR
+    seqs = [[key_ids.setdefault(k if pair else k.dest, len(key_ids))
+             for k in _raw_elements(log, mode)]
             for log in logs]
-    objs = [Transfer(*k) for k in key_ids] if mode is Mode.PAIR else list(key_ids)
+    objs = [Transfer(*k) for k in key_ids] if pair else list(key_ids)
     radix = len(objs) or 1
     child: dict[int, int] = {}  # node * radix + key id -> node
     find = child.get
@@ -330,6 +328,6 @@ def estimate_savings(
     logs, minus its block-memory cost; negative when it never pays off."""
     saved = 0
     for log in logs:
-        trace = raw_transfers(log)
+        trace = _raw_elements(log, config.mode)
         saved += log.size_bytes - compress_trace(trace, [spec], config).size_bytes
     return saved - blockmem_block_bytes(spec.length, config)

@@ -6,6 +6,7 @@ import random
 
 from hypothesis import strategies as st
 
+from cfaudit.codec import serialize_blockmem
 from cfaudit.model import (
     EngineConfig,
     Mode,
@@ -24,6 +25,15 @@ CONFIG_GRID = [
     EngineConfig(mode=Mode.DEST, addr_width=16),
     EngineConfig(mode=Mode.DEST, addr_width=32),
 ]
+
+
+def blockmem_bytes(specs, config: EngineConfig) -> int:
+    """Serialized block-memory bytes of any number of specs.  One block
+    memory holds at most ``max_sub_paths`` specs; blocks concatenate, so
+    the bytes of such groups add up."""
+    n = config.max_sub_paths
+    return sum(len(serialize_blockmem(specs[i : i + n], config).data)
+               for i in range(0, len(specs), n))
 
 
 def address_pool(config: EngineConfig, size: int, rng: random.Random) -> list[int]:

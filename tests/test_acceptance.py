@@ -13,7 +13,7 @@ import pytest
 
 from cfaudit.cfg import find_loops, segment_cfg
 from cfaudit.cli import main as cli_main
-from cfaudit.codec import encode_raw, serialize_blockmem, serialize_log
+from cfaudit.codec import encode_raw, serialize_log
 from cfaudit.engine import Engine, compress_trace, expand, slice_compress
 from cfaudit.errors import AuditError, AuthError, MalformedFrame
 from cfaudit.fixtures import (
@@ -56,7 +56,7 @@ from cfaudit.selection import (
 )
 from cfaudit.workload import generate_trace
 
-from conftest import CONFIG_GRID, random_specs, random_trace
+from conftest import CONFIG_GRID, blockmem_bytes, random_specs, random_trace
 from test_selection import brute_force_top, cand
 
 PAIR16 = EngineConfig()
@@ -263,7 +263,7 @@ def test_criterion_6_policy_correctness():
                     pool.append(cand(s, r.randint(0, 50)))
             budget = r.randint(0, 100)
             specs = policy_select(pool, budget, dest16)
-            if specs and len(serialize_blockmem(specs, dest16).data) > budget:
+            if specs and blockmem_bytes(specs, dest16) > budget:
                 violations += 1
         assert violations == 0
 

@@ -22,6 +22,7 @@ from cfaudit.errors import (
     MalformedLog,
     ModeMismatch,
     ParseError,
+    TooManySpecs,
 )
 from cfaudit.model import (
     EngineConfig,
@@ -180,6 +181,18 @@ class TestBlockMem:
         s = SubPathSpec(1, (Transfer(0x0400, 0x0500),))
         with pytest.raises(DuplicateId):
             serialize_blockmem([s, s], PAIR16)
+
+    def test_spec_set_rule(self):
+        # the engine's install-time checks: count, mode, addresses
+        specs = [SubPathSpec(i, (Transfer(0x0400 + i, 0x0500),)) for i in range(1, 10)]
+        with pytest.raises(TooManySpecs):
+            serialize_blockmem(specs, PAIR16)
+        with pytest.raises(ModeMismatch):
+            serialize_blockmem([SubPathSpec(1, (0x0400,))], PAIR16)
+        with pytest.raises(AddressOutOfRange):
+            serialize_blockmem([SubPathSpec(1, (Transfer(0x0100, 0x0500),))], PAIR16)
+        with pytest.raises(AddressOutOfRange):
+            serialize_blockmem([SubPathSpec(1, (0x8000,))], DEST16)
 
     def test_capacity(self):
         s = SubPathSpec(1, tuple(Transfer(0x0400 + i, 0x0500) for i in range(4)))

@@ -272,6 +272,13 @@ class TestExpand:
         with pytest.raises(MalformedLog):
             expand(log, [ABD_SPEC], PAIR16)
 
+    def test_other_mode_raw_element_rejected(self):
+        dest16 = EngineConfig(mode=Mode.DEST)
+        with pytest.raises(ModeMismatch, match="RawDest element in pair-mode"):
+            expand(make_log([RawPair(A, B), RawDest(D)], PAIR16), [ABD_SPEC], PAIR16)
+        with pytest.raises(ModeMismatch, match="RawPair element in dest-mode"):
+            expand(make_log([RawPair(A, B)], dest16), [], dest16)
+
     def test_round_trip_property(self):
         for seed in range(60):
             trace, specs, config = random_instance(seed)

@@ -1,3 +1,9 @@
+import random
+
+import pytest
+
+from cfaudit.codec import encode_raw
+from cfaudit.errors import AddressOutOfRange, ModeMismatch
 from cfaudit.metrics import (
     CSV_COLUMNS,
     build_report,
@@ -5,7 +11,9 @@ from cfaudit.metrics import (
     report_to_json,
     reports_to_csv,
 )
-from cfaudit.model import EngineConfig, SubPathSpec, Transfer
+from cfaudit.model import EngineConfig, Mode, SubPathSpec, Transfer
+
+from conftest import CONFIG_GRID, random_specs, random_trace
 
 CONFIG = EngineConfig()
 A, B, D = 0x0400, 0x0500, 0x0600
@@ -57,3 +65,31 @@ def test_csv_column_order_is_fixed():
     a = reports_to_csv([build_report("x", TRACE, [], CONFIG)])
     b = reports_to_csv([build_report("x", TRACE, [], CONFIG)])
     assert a == b
+
+
+def test_raw_bytes_is_the_raw_encoding_size():
+    rng = random.Random(5)
+    for config in CONFIG_GRID:
+        trace = random_trace(rng, config, rng.randint(0, 80))
+        specs = random_specs(rng, config, trace)
+        rep = build_report("t", trace, specs, config)
+        assert rep.raw_bytes == encode_raw(trace, config).size_bytes
+
+
+BAD = [
+    (CONFIG, Transfer(None, B), ModeMismatch),
+    (CONFIG, Transfer(0x0100, B), AddressOutOfRange),
+    (CONFIG, Transfer(A, 0x8000), AddressOutOfRange),
+    (EngineConfig(mode=Mode.DEST), Transfer(None, 0x0100), AddressOutOfRange),
+    (EngineConfig(mode=Mode.DEST), Transfer(A, 0x8000), AddressOutOfRange),
+]
+
+
+@pytest.mark.parametrize("config, bad, error", BAD)
+@pytest.mark.parametrize("with_specs", [False, True])
+@pytest.mark.parametrize("at", [0, 1, 30, 60])  # first, mid-match, mid-trace, last
+def test_bad_transfer_raises(config, bad, error, with_specs, at):
+    spec = SPEC if config.mode is Mode.PAIR else SubPathSpec(1, (B, D))
+    trace = TRACE[:at] + [bad] + TRACE[at:]
+    with pytest.raises(error):
+        build_report("t", trace, [spec] if with_specs else [], config, include_baseline=True)

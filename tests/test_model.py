@@ -10,7 +10,7 @@ from cfaudit.model import (
     Symbol,
     Transfer,
     check_address,
-    log_size_bytes,
+    make_log,
 )
 
 
@@ -91,8 +91,8 @@ def test_element_kinds_never_compare_equal():
 def test_log_sizes():
     cfg = EngineConfig()
     els = [RawPair(0x0400, 0x0500), Symbol(1)]
-    assert log_size_bytes(els, cfg) == 6
+    assert make_log(els, cfg).size_bytes == 6
     cfg32 = EngineConfig(addr_width=32)
-    assert log_size_bytes(els, cfg32) == 12
+    assert make_log(els, cfg32).size_bytes == 12
     dcfg = EngineConfig(mode=Mode.DEST)
-    assert log_size_bytes([RawDest(0x0400)], dcfg) == 2
+    assert make_log([RawDest(0x0400)], dcfg).size_bytes == 2

@@ -1,19 +1,32 @@
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfaudit.codec import encode_raw, serialize_log
-from cfaudit.errors import AuthError, ConfigMismatch, MalformedFrame, ProtocolError
+from cfaudit.errors import (
+    AuthError,
+    ConfigMismatch,
+    MalformedFrame,
+    ProtocolError,
+    TooManySpecs,
+)
 from cfaudit.fixtures import sensor_cfg, sensor_profile
 from cfaudit.model import EngineConfig, Mode, SubPathSpec, Transfer
 from cfaudit.protocol import (
     ACCEPT,
+    ZERO_DIGEST,
     Channel,
     ChannelFaults,
+    EvidenceSlice,
     Outcome,
     Prover,
     Request,
+    Verdict,
     Verifier,
+    _slice_mac,
     make_request,
     new_challenge,
     validate_against_cfg,
@@ -119,6 +132,14 @@ class TestRequest:
         with pytest.raises(AuthError):
             prover.handle_request(bytes(frame))
         assert prover.specs == () and prover.challenge is None
+
+    def test_more_specs_than_detectors_rejected_at_request(self):
+        specs = [SubPathSpec(i, (Transfer(A + i, B),)) for i in range(1, 10)]
+        with pytest.raises(TooManySpecs):
+            make_request(KEY, new_challenge(), specs, CONFIG)
+        with pytest.raises(TooManySpecs):
+            Verifier(KEY, CONFIG).open_session(specs)
+        assert make_request(KEY, new_challenge(), specs[:8], CONFIG).blockmem
 
     def test_config_echo_mismatch(self):
         req = make_request(KEY, new_challenge(), [SPEC], CONFIG)
@@ -309,3 +330,100 @@ def test_compression_reduces_slice_count():
     _, _, with_specs = session(trace=trace)
     _, _, baseline = session(specs=(), trace=trace)
     assert len(with_specs) < len(baseline)
+
+
+def test_keep_specs_session_uses_installed_specs():
+    verifier = Verifier(KEY, CONFIG)
+    prover = Prover(KEY, CONFIG)
+    for specs in ((SPEC,), ()):  # install, then keep
+        prover.handle_request(verifier.open_session(specs).encode())
+        assert prover.specs == verifier.session_specs == (SPEC,)
+        for s in prover.run(TRACE):
+            assert verifier.verify_slice(s.encode()) == ACCEPT
+        verdict = verifier.assemble()
+        assert verdict.outcome is Outcome.AUTHENTIC_AND_VALID
+        assert verdict.raw_log == encode_raw(TRACE, CONFIG)
+
+
+def mac_frame(challenge, seq, final, payload, key=KEY):
+    """An authentic slice frame carrying ``payload`` as it is."""
+    s = EvidenceSlice(seq, final, payload, b"", ZERO_DIGEST if final else None)
+    return replace(s, mac=_slice_mac(key, challenge, s.body())).encode()
+
+
+@pytest.mark.parametrize("payload", [
+    b"\x00\x00",  # zero word: neither symbol nor address
+    b"\x09\x00",  # symbol 9 has no installed spec
+    b"\x02\x80",  # repeat count without a symbol
+    b"\x00",  # truncated word
+], ids=["zero_word", "unknown_symbol", "bare_count", "truncated"])
+def test_authentic_undecodable_payload_is_a_verdict(payload):
+    verifier = Verifier(KEY, CONFIG)
+    verifier.open_session((SPEC,))
+    assert verifier.verify_slice(mac_frame(verifier.challenge, 0, True, payload)) == ACCEPT
+    verdict = verifier.assemble(cfg=sensor_cfg())
+    assert verdict.outcome is Outcome.AUTHENTIC_BUT_INVALID_PATH
+    assert verdict.reason == "malformed_payload"
+    assert verdict.raw_log is None and verdict.invalid_index is None
+
+
+REASONS = {ACCEPT, "malformed", "after_final", "bad_seq", "bad_mac"}
+FAULTS = ["none", "flip", "drop", "replay", "swap"]
+# one step of a verifier's life: each runs verify_slice or assemble
+steps = st.one_of(
+    st.tuples(st.just("open"), st.booleans()),  # install (True) or keep specs
+    st.tuples(st.just("junk"), st.binary(max_size=64)),  # arbitrary frame bytes
+    st.tuples(st.just("forge"), st.integers(0, 3), st.booleans(), st.binary(max_size=8)),
+    st.tuples(st.just("stream"), st.integers(0, 60), st.sampled_from(FAULTS),
+              st.integers(0, 2**16)),
+    st.tuples(st.just("stale"), st.integers(0, 2**16)),  # a frame of any earlier session
+    st.tuples(st.just("assemble"), st.booleans()),
+)
+
+
+@given(st.lists(steps, max_size=10), st.sampled_from([CONFIG, DEST_CONFIG]))
+@settings(max_examples=150, deadline=None)
+def test_verifier_never_raises(plan, config):
+    """verify_slice and assemble answer any frames, authentic or not, in
+    any order and across interleaved sessions, without raising."""
+    spec = SPEC if config.mode is Mode.PAIR else DEST_SPEC
+    graph = sensor_cfg()
+    verifier = Verifier(KEY, config)
+    prover = Prover(KEY, config)
+    sent: list[bytes] = []
+    prover.handle_request(verifier.open_session((spec,)).encode())
+    for step in plan:
+        kind, frames = step[0], []
+        if kind == "open":
+            prover.handle_request(verifier.open_session((spec,) if step[1] else ()).encode())
+        elif kind == "junk":
+            frames = [step[1]]
+        elif kind == "forge":
+            frames = [mac_frame(verifier.challenge, *step[1:])]
+        elif kind == "stream":
+            _, n, fault, seed = step
+            frames = [s.encode() for s in prover.run(TRACE[:n])]
+            rng = random.Random(seed)
+            faults = ChannelFaults()
+            k = rng.randrange(len(frames))
+            if fault == "flip":
+                faults.flip[k] = rng.randrange(8 * len(frames[k]))
+            elif fault == "drop":
+                faults.drop.add(k)
+            elif fault == "replay":
+                faults.replay.add(k)
+            elif fault == "swap":
+                faults.reorder.add(k)
+            channel = Channel(faults)
+            for f in frames:
+                channel.send(f)
+            frames = channel.drain()
+        elif kind == "stale":
+            frames = [sent[step[1] % len(sent)]] if sent else []
+        else:
+            verdict = verifier.assemble(cfg=graph if step[1] else None)
+            assert isinstance(verdict, Verdict)
+        for f in frames:
+            assert verifier.verify_slice(f) in REASONS
+        sent.extend(frames)
+    assert isinstance(verifier.assemble(cfg=graph), Verdict)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfaudit.codec import blockmem_block_bytes, encode_raw, serialize_blockmem
+from cfaudit.codec import blockmem_block_bytes, encode_raw
 from cfaudit.errors import ModeMismatch
 from cfaudit.fixtures import (
     BRANCHY_LEN_RANGE,
@@ -27,7 +27,6 @@ from cfaudit.model import (
     Symbol,
     Transfer,
     make_log,
-    raw_transfers,
 )
 from cfaudit.oracle import oracle_compress
 from cfaudit.selection import (
@@ -43,7 +42,7 @@ from cfaudit.selection import (
 )
 from cfaudit.workload import generate_trace
 
-from conftest import CONFIG_GRID, random_specs, random_trace
+from conftest import CONFIG_GRID, blockmem_bytes, random_specs, random_trace
 
 PAIR16 = EngineConfig()
 DEST16 = EngineConfig(mode=Mode.DEST)
@@ -328,7 +327,7 @@ class TestSelect:
             budget = rng.randint(0, 80)
             specs = policy_select(pool, budget, DEST16)
             if specs:
-                assert len(serialize_blockmem(specs, DEST16).data) <= budget
+                assert blockmem_bytes(specs, DEST16) <= budget
 
 
 class TestStatic:
@@ -407,11 +406,31 @@ class TestEstimateSavings:
         log = encode_raw([], PAIR16)
         assert estimate_savings(spec, [log], PAIR16) == -blockmem_block_bytes(1, PAIR16)
 
+    def test_dest_spec_over_pair_log_rejected(self):
+        # 20 pair elements are 80 bytes; read as dest elements they would
+        # be 40, so a silent dest-mode estimate counts 40 bytes too many
+        trace = [Transfer(0x0400, 0x0500), Transfer(0x0500, 0x0600)] * 10
+        spec = SubPathSpec(1, (0x0500, 0x0600))
+        assert estimate_savings(spec, [encode_raw(trace, DEST16)], DEST16) == 30
+        with pytest.raises(ModeMismatch, match="pair elements in dest-mode"):
+            estimate_savings(spec, [encode_raw(trace, PAIR16)], DEST16)
+
+    def test_pair_spec_over_dest_log_rejected(self):
+        spec = SubPathSpec(1, (Transfer(0x0400, 0x0500),))
+        with pytest.raises(ModeMismatch, match="dest elements in pair-mode"):
+            estimate_savings(spec, [dest_log("ABAB")], PAIR16)
+
+    def test_compressed_elements_rejected(self):
+        spec = SubPathSpec(1, (Transfer(0x0400, 0x0500),))
+        log = make_log([RawPair(0x0400, 0x0500), Symbol(1)], PAIR16)
+        with pytest.raises(ValueError, match="must be raw"):
+            estimate_savings(spec, [log], PAIR16)
+
 
 def oracle_savings(spec, logs, config):
     """``estimate_savings`` as computed before it ran on the engine."""
     saved = sum(
-        log.size_bytes - oracle_compress(raw_transfers(log), [spec], config).size_bytes
+        log.size_bytes - oracle_compress(log.elements, [spec], config).size_bytes
         for log in logs
     )
     return saved - blockmem_block_bytes(spec.length, config)
