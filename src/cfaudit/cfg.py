@@ -67,9 +67,6 @@ class CFG:
     def function_blocks(self, function: str) -> list[Block]:
         return [b for b in self.blocks.values() if b.function == function]
 
-    def out_edges(self, block_id: str) -> list[Edge]:
-        return [e for e in self.edges if e.src == block_id]
-
     def valid_pairs(self) -> frozenset[tuple[int, int]]:
         return frozenset(
             (self.blocks[e.src].end, self.blocks[e.dest].start) for e in self.edges
@@ -236,7 +233,6 @@ class SegmentLink:
 class Segment:
     id: int
     blocks: frozenset[str]
-    boundary_kind: str
     edges: tuple[Edge, ...] = ()  # internal forward edges only
     links: tuple[SegmentLink, ...] = ()
 
@@ -271,10 +267,7 @@ def segment_cfg(cfg: CFG, loops: LoopInfo | None = None) -> list[Segment]:
     for b, s in seg_of.items():
         members[s].add(b)
 
-    entry_blocks = {entry for _, entry in cfg.functions}
     loop_headers = set(loops.loops)
-    incoming_kinds: dict[int, set[str]] = {i: set() for i in members}
-    from_loop: dict[int, bool] = {i: False for i in members}
     links: dict[int, list[SegmentLink]] = {i: [] for i in members}
     for e in cut:
         a, b = seg_of[e.src], seg_of[e.dest]
@@ -284,36 +277,18 @@ def segment_cfg(cfg: CFG, loops: LoopInfo | None = None) -> list[Segment]:
             and e.dest not in loop_headers
         )
         links[a].append(SegmentLink(b, e.kind, fusable))
-        incoming_kinds[b].add(e.kind)
-        if loops.membership[e.src]:
-            from_loop[b] = True
 
-    segments = []
-    for i, blks in members.items():
-        if blks & entry_blocks:
-            kind = "graph_first"
-        elif all(loops.membership[b] for b in blks):
-            kind = "loop_first"
-        elif "return" in incoming_kinds[i]:
-            kind = "return"
-        elif "call" in incoming_kinds[i]:
-            kind = "call"
-        elif from_loop[i]:
-            kind = "loop_last"
-        elif not links[i]:
-            kind = "graph_last"
-        else:
-            kind = "graph_first"
-        internal = tuple(e for e in keep if seg_of[e.src] == i)
-        segments.append(Segment(i, frozenset(blks), kind, internal, tuple(links[i])))
-    return segments
+    return [
+        Segment(i, frozenset(blks), tuple(e for e in keep if seg_of[e.src] == i), tuple(links[i]))
+        for i, blks in members.items()
+    ]
 
 
 def merge_segments(segments: Iterable[Segment]) -> list[Segment]:
     """Fuse each segment with exactly one (fusable, non-self) successor into
     that successor, repeated to fixpoint."""
     segs: dict[int, Segment] = {
-        s.id: Segment(s.id, s.blocks, s.boundary_kind, s.edges, s.links)
+        s.id: Segment(s.id, s.blocks, s.edges, s.links)
         for s in segments
     }
     changed = True
@@ -334,7 +309,6 @@ def merge_segments(segments: Iterable[Segment]) -> list[Segment]:
             segs[a.id] = Segment(
                 a.id,
                 a.blocks | b.blocks,
-                a.boundary_kind,
                 a.edges + b.edges,
                 merged_links,
             )
@@ -344,7 +318,6 @@ def merge_segments(segments: Iterable[Segment]) -> list[Segment]:
                     segs[s.id] = Segment(
                         s.id,
                         s.blocks,
-                        s.boundary_kind,
                         s.edges,
                         tuple(
                             SegmentLink(a.id if l.dest == b_id else l.dest, l.kind, l.fusable)

@@ -9,20 +9,24 @@ Memory-image log layout (little-endian words, word = addr_width/8 bytes):
 
 Portable-tagged layout prefixes every element with one tag byte
 (0x00 pair, 0x01 dest, 0x02 symbol, 0x03 count) followed by the same
-little-endian payload words; it carries no address-range constraints.
+little-endian payload words, the count without its tag bit; an address
+there need only fit the word.
 
 Block memory packs each spec as a header word ``(id << 8) | len`` followed
 by ``len`` (src, dest) word pairs in pair mode or ``len`` dest words in
-dest mode; blocks are simply concatenated.
+dest mode; blocks are simply concatenated.  Every word is packed by
+``_pack`` and read by ``_unpack``.
 """
 
 from __future__ import annotations
 
+import struct
+from itertools import chain
 from typing import Iterable, Sequence
 
+from .engine import compress_trace
 from .errors import (
     AddressOutOfRange,
-    CapacityExceeded,
     DuplicateId,
     EncodingOverlap,
     LenOverflow,
@@ -46,7 +50,6 @@ from .model import (
     SubPathSpec,
     Symbol,
     Transfer,
-    check_address,
     validate_spec_set,
 )
 
@@ -55,180 +58,139 @@ TAG_RAW_DEST = 0x01
 TAG_SYMBOL = 0x02
 TAG_REPEAT = 0x03
 
+_WORD_CODE = {16: "H", 32: "I"}  # struct codes of the unsigned word types
+
+
+def _pack(words: Sequence[int], config: EngineConfig) -> bytes:
+    return struct.pack(f"<{len(words)}{_WORD_CODE[config.addr_width]}", *words)
+
+
+def _unpack(data: bytes, config: EngineConfig, error: type[Exception]) -> tuple[int, ...]:
+    n, rest = divmod(len(data), config.word_bytes)
+    if rest:
+        raise error("truncated word")
+    return struct.unpack(f"<{n}{_WORD_CODE[config.addr_width]}", data)
+
 
 def encode_raw(trace: Iterable[Transfer], config: EngineConfig) -> Log:
-    """Canonical raw log for a transfer sequence: one element per transfer."""
-    elements: list = []
-    if config.mode is Mode.PAIR:
-        for t in trace:
-            if t.src is None:
-                raise ModeMismatch("pair-mode trace requires source addresses")
-            check_address(t.src, config)
-            check_address(t.dest, config)
-            elements.append(RawPair(t.src, t.dest))
-    else:
-        for t in trace:
-            check_address(t.dest, config)
-            elements.append(RawDest(t.dest))
-    return Log(tuple(elements), len(elements) * config.raw_element_bytes)
-
-
-def _image_address(value: int, config: EngineConfig) -> int:
-    if not config.min_code_addr <= value < config.counter_tag:
-        raise EncodingOverlap(
-            f"address {value:#x} collides with symbol/counter word ranges"
-        )
-    return value
+    """Canonical raw log for a transfer sequence: one element per transfer.
+    This is the engine with no specs, which range- and mode-checks each."""
+    return compress_trace(trace, (), config)
 
 
 def serialize_log(log: Log, config: EngineConfig, fmt: LogFormat = LogFormat.MEMORY_IMAGE) -> bytes:
-    w = config.word_bytes
-    limit = 1 << config.addr_width
-    out = bytearray()
     tagged = fmt is LogFormat.PORTABLE_TAGGED
-
-    def word(v: int) -> bytes:
-        return v.to_bytes(w, "little")
-
-    prev_symbol = False
+    pair = config.mode is Mode.PAIR
+    raw, other = (RawPair, RawDest) if pair else (RawDest, RawPair)
+    raw_tag = TAG_RAW_PAIR if pair else TAG_RAW_DEST
+    width = config.addr_width
+    # the address rule: tagged, an address fits the word; in the memory
+    # image it also misses the symbol and counter words
+    lo, hi = (0, 1 << width) if tagged else (config.min_code_addr, config.counter_tag)
+    count_tag = 0 if tagged else config.counter_tag
+    words: list[int] = []
+    tags = bytearray()
+    prev = None
     for el in log.elements:
-        if isinstance(el, RawPair):
-            if config.mode is not Mode.PAIR:
-                raise ModeMismatch("raw pair element in dest-mode log")
-            for a in (el.src, el.dest):
-                if not 0 <= a < limit:
-                    raise AddressOutOfRange(f"address {a:#x} does not fit {config.addr_width} bits")
-                if not tagged:
-                    _image_address(a, config)
-            if tagged:
-                out.append(TAG_RAW_PAIR)
-            out += word(el.src) + word(el.dest)
-            prev_symbol = False
-        elif isinstance(el, RawDest):
-            if config.mode is not Mode.DEST:
-                raise ModeMismatch("raw dest element in pair-mode log")
-            if not 0 <= el.dest < limit:
-                raise AddressOutOfRange(f"address {el.dest:#x} does not fit {config.addr_width} bits")
-            if tagged:
-                out.append(TAG_RAW_DEST)
-            else:
-                _image_address(el.dest, config)
-            out += word(el.dest)
-            prev_symbol = False
-        elif isinstance(el, Symbol):
+        kind = type(el)
+        if kind is raw:
+            for a in el:
+                if not lo <= a < hi:
+                    if 0 <= a < 1 << width:
+                        raise EncodingOverlap(f"address {a:#x} collides with symbol/counter words")
+                    raise AddressOutOfRange(f"address {a:#x} does not fit {width} bits")
+            words += el
+            tags.append(raw_tag)
+        elif kind is Symbol:
             if not 1 <= el.id <= MAX_SYMBOL_ID:
                 raise MalformedLog(f"symbol id {el.id} out of range")
-            if tagged:
-                out.append(TAG_SYMBOL)
-            out += word(el.id)
-            prev_symbol = True
-        elif isinstance(el, RepeatCount):
-            if not prev_symbol:
+            words.append(el.id)
+            tags.append(TAG_SYMBOL)
+        elif kind is RepeatCount:
+            if prev is not Symbol:
                 raise MalformedLog("repeat count not preceded by a symbol")
             if not MIN_REPEAT_COUNT <= el.count <= MAX_REPEAT_COUNT:
                 raise MalformedLog(f"repeat count {el.count} out of range")
-            if tagged:
-                out.append(TAG_REPEAT)
-                out += word(el.count)
-            else:
-                out += word(config.counter_tag | el.count)
-            prev_symbol = False
+            words.append(count_tag | el.count)
+            tags.append(TAG_REPEAT)
+        elif kind is other:
+            raise ModeMismatch(f"{other.__name__} element in {config.mode.value}-mode log")
         else:
             raise MalformedLog(f"unknown log element {el!r}")
+        prev = kind
+    data = _pack(words, config)
+    if not tagged:
+        return data
+    out = bytearray()  # each element's tag byte, then its words
+    i = 0
+    for t in tags:
+        n = config.raw_element_bytes if t == raw_tag else config.word_bytes
+        out.append(t)
+        out += data[i : i + n]
+        i += n
     return bytes(out)
 
 
-def _read_words(data: bytes, config: EngineConfig) -> list[int]:
-    w = config.word_bytes
-    if len(data) % w:
-        raise MalformedLog("truncated word")
-    return [int.from_bytes(data[i : i + w], "little") for i in range(0, len(data), w)]
+def _count(elements: list, count: int) -> RepeatCount:
+    """The decoded counter after ``elements``: it must follow a symbol."""
+    if not elements or type(elements[-1]) is not Symbol:
+        raise MalformedLog("repeat count not preceded by a symbol")
+    if not MIN_REPEAT_COUNT <= count <= MAX_REPEAT_COUNT:
+        raise MalformedLog(f"repeat count {count} out of range")
+    return RepeatCount(count)
 
 
 def _deserialize_image(data: bytes, config: EngineConfig) -> list:
-    words = _read_words(data, config)
+    words = iter(_unpack(data, config, MalformedLog))
     tag = config.counter_tag
+    lo = config.min_code_addr
+    pair = config.mode is Mode.PAIR
     elements: list = []
-    prev_symbol = False
-    i = 0
-    while i < len(words):
-        v = words[i]
+    for v in words:
         if v & tag:
-            count = v & (tag - 1)
-            if not prev_symbol:
-                raise MalformedLog("repeat count not preceded by a symbol")
-            if not MIN_REPEAT_COUNT <= count <= MAX_REPEAT_COUNT:
-                raise MalformedLog(f"repeat count {count} out of range")
-            elements.append(RepeatCount(count))
-            prev_symbol = False
-            i += 1
+            elements.append(_count(elements, v & (tag - 1)))
         elif v <= MAX_SYMBOL_ID:
             if v == 0:
                 raise MalformedLog("zero word is neither symbol nor address")
             elements.append(Symbol(v))
-            prev_symbol = True
-            i += 1
-        elif v < config.min_code_addr:
+        elif v < lo:
             raise MalformedLog(f"word {v:#x} falls in the reserved gap")
-        elif config.mode is Mode.PAIR:
-            if i + 1 >= len(words):
+        elif pair:
+            d = next(words, None)
+            if d is None:
                 raise MalformedLog("truncated pair")
-            d = words[i + 1]
-            if not config.min_code_addr <= d < tag:
+            if not lo <= d < tag:
                 raise MalformedLog("pair destination is not an address word")
             elements.append(RawPair(v, d))
-            prev_symbol = False
-            i += 2
         else:
             elements.append(RawDest(v))
-            prev_symbol = False
-            i += 1
     return elements
 
 
 def _deserialize_tagged(data: bytes, config: EngineConfig) -> list:
+    pair = config.mode is Mode.PAIR
+    raw, raw_tag = (RawPair, TAG_RAW_PAIR) if pair else (RawDest, TAG_RAW_DEST)
     w = config.word_bytes
+    sizes = {raw_tag: config.raw_element_bytes, TAG_SYMBOL: w, TAG_REPEAT: w}
     elements: list = []
-    prev_symbol = False
     i = 0
-
-    def take_word() -> int:
-        nonlocal i
-        if i + w > len(data):
-            raise MalformedLog("truncated word")
-        v = int.from_bytes(data[i : i + w], "little")
-        i += w
-        return v
-
     while i < len(data):
         t = data[i]
-        i += 1
-        if t == TAG_RAW_PAIR:
-            if config.mode is not Mode.PAIR:
-                raise MalformedLog("raw pair element in dest-mode log")
-            elements.append(RawPair(take_word(), take_word()))
-            prev_symbol = False
-        elif t == TAG_RAW_DEST:
-            if config.mode is not Mode.DEST:
-                raise MalformedLog("raw dest element in pair-mode log")
-            elements.append(RawDest(take_word()))
-            prev_symbol = False
-        elif t == TAG_SYMBOL:
-            v = take_word()
-            if not 1 <= v <= MAX_SYMBOL_ID:
-                raise MalformedLog(f"symbol id {v} out of range")
-            elements.append(Symbol(v))
-            prev_symbol = True
+        n = sizes.get(t)
+        if n is None:
+            raise MalformedLog(f"tag byte {t:#04x} is no {config.mode.value}-mode element")
+        if i + 1 + n > len(data):
+            raise MalformedLog("truncated word")
+        vals = _unpack(data[i + 1 : i + 1 + n], config, MalformedLog)
+        i += 1 + n
+        if t == raw_tag:
+            elements.append(raw(*vals))
         elif t == TAG_REPEAT:
-            v = take_word()
-            if not prev_symbol:
-                raise MalformedLog("repeat count not preceded by a symbol")
-            if not MIN_REPEAT_COUNT <= v <= MAX_REPEAT_COUNT:
-                raise MalformedLog(f"repeat count {v} out of range")
-            elements.append(RepeatCount(v))
-            prev_symbol = False
+            elements.append(_count(elements, vals[0]))
+        elif not 1 <= vals[0] <= MAX_SYMBOL_ID:
+            raise MalformedLog(f"symbol id {vals[0]} out of range")
         else:
-            raise MalformedLog(f"unknown tag byte {t:#04x}")
+            elements.append(Symbol(vals[0]))
     return elements
 
 
@@ -252,32 +214,23 @@ def serialize_blockmem(
     config: EngineConfig,
     capacity_bytes: int | None = None,
 ) -> BlockMemImage:
+    """Block memory of ``specs``; ``BlockMemImage`` rejects an image past
+    ``capacity_bytes``."""
     validate_spec_set(specs, config)
-    w = config.word_bytes
-    out = bytearray()
+    pair = config.mode is Mode.PAIR
+    words: list[int] = []
     for spec in specs:
-        out += ((spec.id << 8) | spec.length).to_bytes(w, "little")
-        for e in spec.entries:
-            if isinstance(e, int):
-                out += e.to_bytes(w, "little")
-            else:
-                out += e.src.to_bytes(w, "little")
-                out += e.dest.to_bytes(w, "little")
-    if capacity_bytes is not None and len(out) > capacity_bytes:
-        raise CapacityExceeded(
-            f"block memory needs {len(out)} bytes, capacity is {capacity_bytes}"
-        )
-    return BlockMemImage(bytes(out), len(out) if capacity_bytes is None else capacity_bytes)
+        words.append((spec.id << 8) | spec.length)
+        words += chain.from_iterable(spec.entries) if pair else spec.entries
+    data = _pack(words, config)
+    return BlockMemImage(data, len(data) if capacity_bytes is None else capacity_bytes)
 
 
 def deserialize_blockmem(
     image: BlockMemImage | bytes, config: EngineConfig
 ) -> tuple[SubPathSpec, ...]:
     data = image.data if isinstance(image, BlockMemImage) else image
-    w = config.word_bytes
-    if len(data) % w:
-        raise MalformedBlockMem("truncated word")
-    words = [int.from_bytes(data[i : i + w], "little") for i in range(0, len(data), w)]
+    words = _unpack(data, config, MalformedBlockMem)
     per_entry = 2 if config.mode is Mode.PAIR else 1
     specs: list[SubPathSpec] = []
     seen: set[int] = set()
@@ -302,13 +255,9 @@ def deserialize_blockmem(
         for v in vals:
             if not config.min_code_addr <= v < config.counter_tag:
                 raise MalformedBlockMem(f"stored address {v:#x} out of range")
-        if config.mode is Mode.PAIR:
-            entries: tuple = tuple(
-                Transfer(vals[j], vals[j + 1]) for j in range(0, need, 2)
-            )
-        else:
-            entries = tuple(vals)
-        specs.append(SubPathSpec(spec_id, entries))
+        if per_entry == 2:
+            vals = tuple(map(Transfer, vals[::2], vals[1::2]))
+        specs.append(SubPathSpec(spec_id, vals))
     return tuple(specs)
 
 

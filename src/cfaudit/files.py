@@ -52,12 +52,16 @@ def parse_trace_document(text: str) -> tuple[Mode, int, list[Transfer]]:
             continue
         tokens = line.split()
         if tokens[0] == "mode":
+            if mode is not None:
+                raise ParseError(lineno, "duplicate mode line")
             try:
                 mode = Mode(tokens[1])
             except (IndexError, ValueError):
                 raise ParseError(lineno, f"bad mode line {line!r}") from None
             continue
         if tokens[0] == "width":
+            if width is not None:
+                raise ParseError(lineno, "duplicate width line")
             try:
                 width = int(tokens[1])
             except (IndexError, ValueError):

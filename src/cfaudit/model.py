@@ -20,6 +20,7 @@ from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import (
     AddressOutOfRange,
+    CapacityExceeded,
     DuplicateId,
     LenOverflow,
     ModeMismatch,
@@ -200,8 +201,6 @@ class BlockMemImage:
 
     def __post_init__(self) -> None:
         if len(self.data) > self.capacity_bytes:
-            from .errors import CapacityExceeded
-
             raise CapacityExceeded(
                 f"{len(self.data)} bytes exceed capacity {self.capacity_bytes}"
             )

@@ -184,14 +184,11 @@ class Prover:
         self.challenge: bytes | None = None
         self._next_seq = 0
 
-    def handle_request(self, request: Request | bytes) -> None:
-        if isinstance(request, (bytes, bytearray)):
-            frame = bytes(request)
-            request = Request.decode(frame)
-            body = frame[:-MAC_BYTES]  # the bytes received, not a re-encoding
-        else:
-            body = request.body()
-        expected = _mac(self._key, _REQUEST_DOMAIN, body)
+    def handle_request(self, frame: bytes) -> None:
+        """Authenticate and install an encoded request; the MAC covers the
+        bytes received, not a re-encoding of them."""
+        request = Request.decode(frame)
+        expected = _mac(self._key, _REQUEST_DOMAIN, frame[:-MAC_BYTES])
         if not hmac.compare_digest(expected, request.mac):
             raise AuthError("bad_mac", "request authentication failed")
         if (
@@ -276,32 +273,32 @@ class Verifier:
         self.rejections = []
         return make_request(self._key, self.challenge, specs, self.config, capacity_bytes)
 
-    def verify_slice(self, frame: EvidenceSlice | bytes) -> str:
-        """Returns "accept" or a rejection reason; state only advances on
-        accepted slices."""
+    def verify_slice(self, frame: bytes) -> str:
+        """Returns "accept" or a rejection reason for an encoded slice; state
+        only advances on accepted slices.  The MAC covers the bytes received,
+        not a re-encoding of them."""
         if self.challenge is None:
             raise ProtocolError("no open session")
-        if isinstance(frame, (bytes, bytearray)):
-            try:
-                frame = EvidenceSlice.decode(bytes(frame))
-            except MalformedFrame:
-                self.rejections.append((None, "malformed"))
-                return "malformed"
+        try:
+            s = EvidenceSlice.decode(frame)
+        except MalformedFrame:
+            self.rejections.append((None, "malformed"))
+            return "malformed"
         if self._final_seen:
-            self.rejections.append((frame.seq, "after_final"))
+            self.rejections.append((s.seq, "after_final"))
             return "after_final"
-        if frame.seq != self._expected_seq:
-            self.rejections.append((frame.seq, "bad_seq"))
+        if s.seq != self._expected_seq:
+            self.rejections.append((s.seq, "bad_seq"))
             return "bad_seq"
-        expected = _slice_mac(self._key, self.challenge, frame.body())
-        if not hmac.compare_digest(expected, frame.mac):
-            self.rejections.append((frame.seq, "bad_mac"))
+        expected = _slice_mac(self._key, self.challenge, frame[:-MAC_BYTES])
+        if not hmac.compare_digest(expected, s.mac):
+            self.rejections.append((s.seq, "bad_mac"))
             return "bad_mac"
-        self._payloads.append(frame.payload)
+        self._payloads.append(s.payload)
         self._expected_seq += 1
-        if frame.is_final:
+        if s.is_final:
             self._final_seen = True
-            self._image_digest = frame.image_digest
+            self._image_digest = s.image_digest
         return ACCEPT
 
     def assemble(

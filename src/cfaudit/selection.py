@@ -42,7 +42,6 @@ DEFAULT_LEN_RANGE = (2, 16)
 class Candidate:
     entries: tuple  # Transfer tuple (pair mode) or address tuple (dest mode)
     count: int
-    origin: str = "mined"  # mined | static
     static_priority: int | None = None
 
     @property
@@ -248,7 +247,7 @@ def rank_static(cfg: CFG, paths: Iterable[SegmentPath]) -> list[Candidate]:
             priority = 3
         else:
             priority = None
-        ranked.append(Candidate(path.transfers, 0, "static", priority))
+        ranked.append(Candidate(path.transfers, 0, priority))
     ranked.sort(key=lambda c: (c.static_priority or 4, c.length, c.entries))
     return ranked
 

@@ -162,7 +162,6 @@ class TestSegments:
         assert len(segments) >= 3
         loop_seg = next(s for s in segments if "h" in s.blocks)
         assert loop_seg.blocks == {"h", "b"}
-        assert loop_seg.boundary_kind == "loop_first"
 
     def test_segments_are_back_edge_free_dags(self):
         for cfg in (static_demo_cfg(), linear_cfg(["a", "b"], extra_edges=[("b", "a", "jump")])):
@@ -197,9 +196,9 @@ class TestSegments:
 
     def test_merge_chain_to_one(self):
         chain = [
-            Segment(0, frozenset({"a"}), "graph_first", (), (SegmentLink(1, "jump", True),)),
-            Segment(1, frozenset({"b"}), "graph_first", (), (SegmentLink(2, "jump", True),)),
-            Segment(2, frozenset({"c"}), "graph_last", (), ()),
+            Segment(0, frozenset({"a"}), (), (SegmentLink(1, "jump", True),)),
+            Segment(1, frozenset({"b"}), (), (SegmentLink(2, "jump", True),)),
+            Segment(2, frozenset({"c"}), (), ()),
         ]
         merged = merge_segments(chain)
         assert len(merged) == 1
@@ -207,8 +206,8 @@ class TestSegments:
 
     def test_merge_refuses_unfusable_links(self):
         chain = [
-            Segment(0, frozenset({"a"}), "graph_first", (), (SegmentLink(1, "call", False),)),
-            Segment(1, frozenset({"b"}), "call", (), ()),
+            Segment(0, frozenset({"a"}), (), (SegmentLink(1, "call", False),)),
+            Segment(1, frozenset({"b"}), (), ()),
         ]
         assert len(merge_segments(chain)) == 2
 

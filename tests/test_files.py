@@ -52,6 +52,17 @@ class TestTraceDocuments:
         with pytest.raises(ParseError):
             parse_trace_document("mode dest\nwidth 16\n0400 0500\n")
 
+    def test_header_appears_once(self):
+        # a second header after records would re-type them: the pair
+        # record below would lose its source under dest mode
+        text = "mode pair\nwidth 16\n0400 0500\nmode dest\n0600\n"
+        with pytest.raises(ParseError) as err:
+            parse_trace_document(text)
+        assert err.value.line == 4
+        with pytest.raises(ParseError) as err:
+            parse_trace_document("mode pair\nwidth 16\n0400 0500\nwidth 32\n")
+        assert err.value.line == 4
+
     def test_comments_ignored(self):
         text = "# trace\nmode dest\nwidth 16\n0400  # first\n"
         assert parse_trace_document(text)[2] == [Transfer(None, 0x0400)]

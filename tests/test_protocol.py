@@ -65,13 +65,13 @@ class TestRequest:
     def test_empty_specs_keep_current(self):
         prover = Prover(KEY, CONFIG, specs=(SPEC,))
         req = make_request(KEY, new_challenge(), [], CONFIG)
-        prover.handle_request(req)
+        prover.handle_request(req.encode())
         assert prover.specs == (SPEC,)
 
     def test_nonempty_replaces(self):
         other = SubPathSpec(2, (Transfer(D, G),))
         prover = Prover(KEY, CONFIG, specs=(SPEC,))
-        prover.handle_request(make_request(KEY, new_challenge(), [other], CONFIG))
+        prover.handle_request(make_request(KEY, new_challenge(), [other], CONFIG).encode())
         assert prover.specs == (other,)
 
     def test_bit_flip_rejected_and_state_unchanged(self):
@@ -95,7 +95,7 @@ class TestRequest:
     def test_wrong_key_rejected(self):
         req = make_request(OTHER_KEY, new_challenge(), [SPEC], CONFIG)
         with pytest.raises(AuthError):
-            Prover(KEY, CONFIG).handle_request(req)
+            Prover(KEY, CONFIG).handle_request(req.encode())
 
     def test_decode_rejects_mode_byte_outside_0_1(self):
         frame = bytearray(make_request(KEY, new_challenge(), [], DEST_CONFIG).encode())
@@ -145,7 +145,7 @@ class TestRequest:
         req = make_request(KEY, new_challenge(), [SPEC], CONFIG)
         other = Prover(KEY, EngineConfig(slice_size_bytes=128))
         with pytest.raises(ConfigMismatch):
-            other.handle_request(req)
+            other.handle_request(req.encode())
 
 
 class TestSliceStream:

@@ -359,22 +359,22 @@ class TestStatic:
         assert first_p2 > 0
 
     def test_select_static_shorter_first(self):
-        a = Candidate((Transfer(0x0400, 0x0500),), 0, "static", 1)
-        b = Candidate((Transfer(0x0600, 0x0700), Transfer(0x0700, 0x0400)), 0, "static", 1)
+        a = Candidate((Transfer(0x0400, 0x0500),), 0, static_priority=1)
+        b = Candidate((Transfer(0x0600, 0x0700), Transfer(0x0700, 0x0400)), 0, static_priority=1)
         specs = select_static(rank_static_like([b, a]), 2, 10_000, PAIR16)
         assert specs[0].entries == a.entries
 
     def test_select_static_skips_overlap(self):
         shared = Transfer(0x0400, 0x0500)
-        a = Candidate((shared,), 0, "static", 1)
-        b = Candidate((shared, Transfer(0x0500, 0x0600)), 0, "static", 1)
-        c = Candidate((Transfer(0x0600, 0x0700),), 0, "static", 2)
+        a = Candidate((shared,), 0, static_priority=1)
+        b = Candidate((shared, Transfer(0x0500, 0x0600)), 0, static_priority=1)
+        c = Candidate((Transfer(0x0600, 0x0700),), 0, static_priority=2)
         specs = select_static([a, b, c], 3, 10_000, PAIR16)
         assert [s.entries for s in specs] == [a.entries, c.entries]
 
     def test_select_static_budget_prefix(self):
         cands = [
-            Candidate((Transfer(0x0400 + i, 0x0500 + i),), 0, "static", 1)
+            Candidate((Transfer(0x0400 + i, 0x0500 + i),), 0, static_priority=1)
             for i in range(5)
         ]
         budget = blockmem_block_bytes(1, PAIR16) * 2
