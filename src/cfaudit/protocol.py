@@ -14,6 +14,11 @@ additionally cover the session challenge, so evidence produced under one
 challenge never verifies in another session.  Slice payloads are
 memory-image log bytes.  An empty request blockmem means "keep the
 currently installed specs".
+
+The verifier judges a session on its payload words in one pass: a symbol
+stands for a whole installed spec, whose CFG verdict is worked out once
+per ``assemble`` call, so no symbol is expanded to judge it.  The full raw
+log is built only when ``Verdict.raw_log`` is read.
 """
 
 from __future__ import annotations
@@ -23,21 +28,29 @@ import hashlib
 import secrets
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .cfg import CFG
-from .codec import deserialize_blockmem, deserialize_log, serialize_blockmem, serialize_log
+from .codec import (
+    _unpack,
+    deserialize_blockmem,
+    deserialize_log,
+    serialize_blockmem,
+    serialize_log,
+)
 from .engine import expand, slice_compress
 from .errors import (
     AuthError,
     ConfigMismatch,
     MalformedFrame,
     MalformedLog,
-    ModeMismatch,
     ProtocolError,
-    UnknownSymbol,
 )
 from .model import (
+    MAX_REPEAT_COUNT,
+    MAX_SYMBOL_ID,
+    MIN_REPEAT_COUNT,
     EngineConfig,
     Log,
     LogFormat,
@@ -234,8 +247,23 @@ class Verdict:
     outcome: Outcome
     invalid_index: int | None = None
     reason: str | None = None
-    raw_log: Log | None = None
     image_digest: bytes | None = None
+    # what ``raw_log`` is built from: the accepted payloads (None when the
+    # session has no raw log), the session's specs and its config
+    payloads: tuple[bytes, ...] | None = field(default=None, repr=False)
+    specs: tuple[SubPathSpec, ...] = field(default=(), repr=False)
+    config: EngineConfig | None = field(default=None, repr=False)
+
+    @cached_property
+    def raw_log(self) -> Log | None:
+        """The session's full raw log, expanded on first read."""
+        if self.payloads is None:
+            return None
+        elements: list = []
+        for payload in self.payloads:
+            log = deserialize_log(payload, self.config, LogFormat.MEMORY_IMAGE)
+            elements.extend(expand(log, self.specs, self.config).elements)
+        return Log(tuple(elements), len(elements) * self.config.raw_element_bytes)
 
 
 ACCEPT = "accept"
@@ -263,15 +291,18 @@ class Verifier:
         capacity_bytes: int | None = None,
     ) -> Request:
         specs = tuple(specs)
+        challenge = challenge or new_challenge()
+        # a request that fails to build leaves the last session as it was
+        request = make_request(self._key, challenge, specs, self.config, capacity_bytes)
         if specs:  # an empty blockmem keeps the installed specs, as on the prover
             self.session_specs = specs
-        self.challenge = challenge or new_challenge()
+        self.challenge = challenge
         self._expected_seq = 0
         self._payloads = []
         self._final_seen = False
         self._image_digest = None
         self.rejections = []
-        return make_request(self._key, self.challenge, specs, self.config, capacity_bytes)
+        return request
 
     def verify_slice(self, frame: bytes) -> str:
         """Returns "accept" or a rejection reason for an encoded slice; state
@@ -316,30 +347,87 @@ class Verifier:
             return Verdict(Outcome.INCOMPLETE, reason="final slice not received")
         if expected_digest is not None and self._image_digest != expected_digest:
             return Verdict(Outcome.AUTH_FAILURE, reason="bad_digest")
-        elements: list = []
         try:
-            for payload in self._payloads:
-                log = deserialize_log(payload, self.config, LogFormat.MEMORY_IMAGE)
-                elements.extend(expand(log, self.session_specs, self.config).elements)
-        except (MalformedLog, UnknownSymbol, ModeMismatch):
+            bad = _first_invalid(self._payloads, self.session_specs, self.config, cfg)
+        except MalformedLog:
             return Verdict(
                 Outcome.AUTHENTIC_BUT_INVALID_PATH,
                 reason="malformed_payload",
                 image_digest=self._image_digest,
             )
-        raw = Log(tuple(elements), len(elements) * self.config.raw_element_bytes)
-        if cfg is not None:
-            bad = validate_against_cfg(raw, cfg)
-            if bad is not None:
-                return Verdict(
-                    Outcome.AUTHENTIC_BUT_INVALID_PATH,
-                    invalid_index=bad,
-                    raw_log=raw,
-                    image_digest=self._image_digest,
-                )
         return Verdict(
-            Outcome.AUTHENTIC_AND_VALID, raw_log=raw, image_digest=self._image_digest
+            Outcome.AUTHENTIC_AND_VALID if bad is None else Outcome.AUTHENTIC_BUT_INVALID_PATH,
+            invalid_index=bad,
+            image_digest=self._image_digest,
+            payloads=tuple(self._payloads),
+            specs=self.session_specs,
+            config=self.config,
         )
+
+
+def _first_invalid(
+    payloads: Sequence[bytes],
+    specs: Sequence[SubPathSpec],
+    config: EngineConfig,
+    cfg: CFG | None,
+) -> int | None:
+    """Raw-transfer index of the first transfer in ``payloads`` that is not
+    a ``cfg`` edge (None if every one is, or without ``cfg``), read from the
+    memory-image words in one pass without expanding a symbol.  Raises
+    ``MalformedLog`` wherever ``deserialize_log`` or ``expand`` would raise,
+    in any payload, so a later malformed payload outweighs an invalid path."""
+    pair = config.mode is Mode.PAIR
+    tag = config.counter_tag
+    lo = config.min_code_addr
+    edges = None if cfg is None else cfg.valid_pairs() if pair else cfg.valid_dests()
+    # per spec id: its length and its first entry that is no CFG edge
+    spans: dict[int, tuple[int, int | None]] = {}
+    for spec in specs:
+        bad = None
+        if edges is not None:
+            bad = next((i for i, e in enumerate(spec.entries) if e not in edges), None)
+        spans[spec.id] = (spec.length, bad)
+    first: int | None = None
+    check = edges is not None  # until the first invalid transfer is found
+    offset = 0  # raw transfers before the current word
+    for payload in payloads:
+        words = iter(_unpack(payload, config, MalformedLog))
+        length = 0  # of the symbol directly before, in this payload
+        for v in words:
+            if v & tag:
+                count = v & (tag - 1)
+                if not length:
+                    raise MalformedLog("repeat count not preceded by a symbol")
+                if not MIN_REPEAT_COUNT <= count <= MAX_REPEAT_COUNT:
+                    raise MalformedLog(f"repeat count {count} out of range")
+                offset += (count - 1) * length
+                length = 0
+            elif v <= MAX_SYMBOL_ID:
+                if v == 0:
+                    raise MalformedLog("zero word is neither symbol nor address")
+                span = spans.get(v)
+                if span is None:
+                    raise MalformedLog(f"symbol {v} has no installed spec")
+                length, bad = span
+                if check and bad is not None:
+                    first, check = offset + bad, False
+                offset += length
+            elif v < lo:
+                raise MalformedLog(f"word {v:#x} falls in the reserved gap")
+            else:
+                if pair:
+                    d = next(words, None)
+                    if d is None:
+                        raise MalformedLog("truncated pair")
+                    if not lo <= d < tag:
+                        raise MalformedLog("pair destination is not an address word")
+                    if check and (v, d) not in edges:
+                        first, check = offset, False
+                elif check and v not in edges:
+                    first, check = offset, False
+                offset += 1
+                length = 0
+    return first
 
 
 def validate_against_cfg(raw_log: Log, cfg: CFG) -> int | None:

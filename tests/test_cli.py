@@ -94,6 +94,16 @@ class TestCompressExpand:
         log = deserialize_log(out.read_bytes(), CONFIG, LogFormat.PORTABLE_TAGGED)
         assert log == compress_trace(TRACE, [SPEC], CONFIG)
 
+    def test_tagged_format_still_takes_only_code_addresses(self, workdir, capsys):
+        # the tagged codec takes any address that fits the word; the
+        # compressor takes only code addresses, whatever the format
+        low = workdir / "low.trace"
+        low.write_text("mode pair\nwidth 16\n0100 0500\n")
+        out = workdir / "low.tagged"
+        assert run("compress", low, "-o", out, "--format", "tagged") == 1
+        assert capsys.readouterr().err == "error: transfer (0x100, 0x500) out of range\n"
+        assert not out.exists()
+
 
 class TestSelect:
     def test_each_policy_yields_usable_specs(self, workdir, tmp_path):

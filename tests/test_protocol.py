@@ -5,16 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfaudit.codec import encode_raw, serialize_log
+from cfaudit import fixtures, protocol
+from cfaudit.codec import deserialize_log, encode_raw, serialize_log
+from cfaudit.engine import expand
 from cfaudit.errors import (
     AuthError,
+    CapacityExceeded,
     ConfigMismatch,
     MalformedFrame,
+    MalformedLog,
+    ModeMismatch,
     ProtocolError,
     TooManySpecs,
+    UnknownSymbol,
 )
 from cfaudit.fixtures import sensor_cfg, sensor_profile
-from cfaudit.model import EngineConfig, Mode, SubPathSpec, Transfer
+from cfaudit.model import EngineConfig, Log, LogFormat, Mode, SubPathSpec, Transfer
 from cfaudit.protocol import (
     ACCEPT,
     ZERO_DIGEST,
@@ -32,6 +38,9 @@ from cfaudit.protocol import (
     validate_against_cfg,
 )
 from cfaudit.workload import generate_trace
+
+from conftest import CONFIG_GRID
+from test_fixture_parity import CASES, fixture_inputs
 
 KEY = bytes(range(32))
 OTHER_KEY = bytes(range(1, 33))
@@ -427,3 +436,185 @@ def test_verifier_never_raises(plan, config):
             assert verifier.verify_slice(f) in REASONS
         sent.extend(frames)
     assert isinstance(verifier.assemble(cfg=graph), Verdict)
+
+
+@pytest.mark.parametrize("specs, capacity, error", [
+    ((SubPathSpec(1, (Transfer(D, G),)),), 2, CapacityExceeded),
+    (tuple(SubPathSpec(i, (Transfer(A + i, B),)) for i in range(1, 10)), None, TooManySpecs),
+], ids=["capacity", "too_many_specs"])
+def test_failed_open_session_leaves_the_session_as_it_was(specs, capacity, error):
+    verifier = Verifier(KEY, CONFIG)
+    prover = Prover(KEY, CONFIG)
+    prover.handle_request(verifier.open_session((SPEC,)).encode())
+    frames = [s.encode() for s in prover.run(TRACE[:15])]
+    challenge = verifier.challenge
+    with pytest.raises(error):
+        verifier.open_session(specs, capacity_bytes=capacity)
+    assert verifier.session_specs == (SPEC,) and verifier.challenge == challenge
+    # the open session goes on, and a later keep-specs session keeps SPEC
+    for f in frames:
+        assert verifier.verify_slice(f) == ACCEPT
+    assert verifier.assemble().raw_log == encode_raw(TRACE[:15], CONFIG)
+    prover.handle_request(verifier.open_session(()).encode())
+    for s in prover.run(TRACE[:15]):
+        assert verifier.verify_slice(s.encode()) == ACCEPT
+    verdict = verifier.assemble()
+    assert verdict.outcome is Outcome.AUTHENTIC_AND_VALID
+    assert verdict.raw_log == encode_raw(TRACE[:15], CONFIG)
+
+
+# --- judging payload words in place equals full expansion -------------------
+
+GRAPH = sensor_cfg()
+ROGUE = Transfer(A, 0x0508)  # no edge of either fixture's CFG leads to 0x0508
+
+
+def payloads_of(trace, specs, config):
+    """The payloads a prover holding ``specs`` sends for ``trace``."""
+    prover = Prover(KEY, config, specs)
+    prover.handle_request(make_request(KEY, new_challenge(), (), config).encode())
+    return [s.payload for s in prover.run(trace)]
+
+
+def expanded_verdict(payloads, specs, config, cfg):
+    """(outcome, reason, invalid_index, raw_log) of a session judged by full
+    expansion: every payload decoded and expanded, then the whole raw log
+    checked against ``cfg``."""
+    elements: list = []
+    try:
+        for payload in payloads:
+            log = deserialize_log(payload, config, LogFormat.MEMORY_IMAGE)
+            elements.extend(expand(log, specs, config).elements)
+    except (MalformedLog, UnknownSymbol, ModeMismatch):
+        return Outcome.AUTHENTIC_BUT_INVALID_PATH, "malformed_payload", None, None
+    raw = Log(tuple(elements), len(elements) * config.raw_element_bytes)
+    bad = None if cfg is None else validate_against_cfg(raw, cfg)
+    outcome = Outcome.AUTHENTIC_AND_VALID if bad is None else Outcome.AUTHENTIC_BUT_INVALID_PATH
+    return outcome, None, bad, raw
+
+
+def judged(payloads, specs, config, cfg):
+    """The verifier's verdict on authentic slices carrying ``payloads``."""
+    verifier = Verifier(KEY, config)
+    verifier.open_session(specs)
+    for i, payload in enumerate(payloads):
+        frame = mac_frame(verifier.challenge, i, i == len(payloads) - 1, payload)
+        assert verifier.verify_slice(frame) == ACCEPT
+    return verifier.assemble(cfg=cfg)
+
+
+def junk_words(kind, config):
+    """Words no memory-image log holds under specs with ids below 200; in
+    dest mode ``pair_dest`` and ``truncated_pair`` decode as addresses."""
+    words = {"zero": [0], "unknown_symbol": [200], "gap": [0x100],
+             "bare_count": [config.counter_tag | 2], "count_range": [1, config.counter_tag | 1],
+             "pair_dest": [A, 1], "truncated_pair": [A]}[kind]
+    return b"".join(v.to_bytes(config.word_bytes, "little") for v in words)
+
+
+JUNK = ["zero", "unknown_symbol", "gap", "bare_count", "count_range", "pair_dest"]
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_judging_words_in_place_equals_full_expansion(data):
+    config = replace(data.draw(st.sampled_from(CONFIG_GRID)),
+                     slice_size_bytes=data.draw(st.sampled_from([8, 16, 24, 40, 256])))
+    trace = generate_trace(GRAPH, sensor_profile(seed=data.draw(st.integers(0, 999)),
+                                                 steps=data.draw(st.integers(0, 80))))
+    if data.draw(st.booleans()):
+        trace.insert(data.draw(st.integers(0, len(trace))), ROGUE)
+    pair = config.mode is Mode.PAIR
+    specs: list[SubPathSpec] = []
+    for _ in range(data.draw(st.integers(0, 4)) if trace else 0):
+        n = data.draw(st.integers(1, min(6, len(trace))))
+        at = data.draw(st.integers(0, len(trace) - n))
+        window = trace[at : at + n]
+        rogue = data.draw(st.sampled_from([None, 0, n // 2, n - 1]))
+        if rogue is not None:  # a spec entry that is no CFG edge
+            window[rogue] = ROGUE
+        entries = tuple(window) if pair else tuple(t.dest for t in window)
+        if all(s.entries != entries for s in specs):
+            specs.append(SubPathSpec(len(specs) + 1, entries))
+    proved = list(trace)
+    for spec in specs:  # one bare occurrence, or a repeat group
+        occurrence = list(spec.entries) if pair else [Transfer(A, d) for d in spec.entries]
+        at = data.draw(st.integers(0, len(proved)))
+        proved[at:at] = occurrence * data.draw(st.integers(0, 4))
+    payloads = payloads_of(proved, specs, config)
+    kind = data.draw(st.sampled_from([None, "truncated_word", "truncated_pair"] + JUNK))
+    if kind is not None:
+        i = data.draw(st.integers(0, len(payloads) - 1))
+        if kind == "truncated_word":
+            payloads[i] += b"\x01"
+        elif kind == "truncated_pair":
+            payloads[i] += junk_words(kind, config)
+        else:
+            payloads[i] = junk_words(kind, config) + payloads[i]
+    cfg = data.draw(st.sampled_from([GRAPH, None]))
+    verdict = judged(payloads, specs, config, cfg)
+    got = (verdict.outcome, verdict.reason, verdict.invalid_index, verdict.raw_log)
+    assert got == expanded_verdict(payloads, specs, config, cfg)
+
+
+@pytest.mark.parametrize("kind", ["truncated_word"] + JUNK)
+def test_malformed_later_payload_outweighs_an_earlier_invalid_path(kind):
+    trace = generate_trace(GRAPH, sensor_profile(seed=5, steps=200))
+    trace.insert(3, ROGUE)
+    spec = SubPathSpec(1, tuple(trace[20:24]))
+    payloads = payloads_of(trace, (spec,), CONFIG)
+    assert len(payloads) > 2
+    assert judged(payloads, (spec,), CONFIG, GRAPH).invalid_index == 3
+    payloads[-1] += b"\x01" if kind == "truncated_word" else junk_words(kind, CONFIG)
+    verdict = judged(payloads, (spec,), CONFIG, GRAPH)
+    assert verdict.outcome is Outcome.AUTHENTIC_BUT_INVALID_PATH
+    assert verdict.reason == "malformed_payload"
+    assert verdict.invalid_index is None and verdict.raw_log is None
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_rogue_edge_index_on_fixture_sessions(name):
+    len_range, n_specs, seed, _ = CASES[name]
+    specs, trace = fixture_inputs(name, len_range, n_specs, seed)
+    graph = getattr(fixtures, name + "_cfg")()
+    verifier = Verifier(KEY, CONFIG)
+    prover = Prover(KEY, CONFIG)
+    prover.handle_request(verifier.open_session(specs).encode())
+    for at in (0, len(trace) // 2, len(trace)):
+        rogue = trace[:at] + [ROGUE] + trace[at:]
+        prover.handle_request(verifier.open_session(()).encode())
+        for s in prover.run(rogue):
+            assert verifier.verify_slice(s.encode()) == ACCEPT
+        verdict = verifier.assemble(cfg=graph)
+        assert verdict.outcome is Outcome.AUTHENTIC_BUT_INVALID_PATH
+        assert verdict.invalid_index == at
+        assert verdict.raw_log == encode_raw(rogue, CONFIG)
+
+
+def test_raw_log_is_expanded_when_first_read(monkeypatch):
+    calls = {"deserialize_log": 0, "expand": 0, "validate_against_cfg": 0}
+
+    def counting(name):
+        real = getattr(protocol, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(protocol, name, counting(name))
+    trace = generate_trace(GRAPH, sensor_profile(seed=6, steps=300))
+    spec = SubPathSpec(1, tuple(trace[40:44]))
+    verifier, results, slices = session(specs=(spec,), trace=trace)
+    assert len(slices) > 1 and all(r == ACCEPT for r in results)
+    verdict = verifier.assemble(cfg=GRAPH)
+    assert verdict.outcome is Outcome.AUTHENTIC_AND_VALID
+    assert calls == {"deserialize_log": 0, "expand": 0, "validate_against_cfg": 0}
+    assert verdict.raw_log == encode_raw(trace, CONFIG)
+    assert calls["expand"] == len(slices)
+    assert verdict.raw_log is verdict.raw_log and calls["expand"] == len(slices)
+    again = verifier.assemble(cfg=GRAPH)
+    assert (again.outcome, again.invalid_index, again.raw_log) == (
+        verdict.outcome, verdict.invalid_index, verdict.raw_log)
+    assert calls["validate_against_cfg"] == 0
