@@ -50,6 +50,8 @@ from .model import (
     SubPathSpec,
     Symbol,
     Transfer,
+    _count,
+    decode_image,
     validate_spec_set,
 )
 
@@ -80,6 +82,8 @@ def encode_raw(trace: Iterable[Transfer], config: EngineConfig) -> Log:
 
 def serialize_log(log: Log, config: EngineConfig, fmt: LogFormat = LogFormat.MEMORY_IMAGE) -> bytes:
     tagged = fmt is LogFormat.PORTABLE_TAGGED
+    if log.words is not None and not tagged and (log.config is config or log.config == config):
+        return _pack(log.words, config)  # the engine's own image, checked as it was built
     pair = config.mode is Mode.PAIR
     raw, other = (RawPair, RawDest) if pair else (RawDest, RawPair)
     raw_tag = TAG_RAW_PAIR if pair else TAG_RAW_DEST
@@ -131,42 +135,6 @@ def serialize_log(log: Log, config: EngineConfig, fmt: LogFormat = LogFormat.MEM
     return bytes(out)
 
 
-def _count(elements: list, count: int) -> RepeatCount:
-    """The decoded counter after ``elements``: it must follow a symbol."""
-    if not elements or type(elements[-1]) is not Symbol:
-        raise MalformedLog("repeat count not preceded by a symbol")
-    if not MIN_REPEAT_COUNT <= count <= MAX_REPEAT_COUNT:
-        raise MalformedLog(f"repeat count {count} out of range")
-    return RepeatCount(count)
-
-
-def _deserialize_image(data: bytes, config: EngineConfig) -> list:
-    words = iter(_unpack(data, config, MalformedLog))
-    tag = config.counter_tag
-    lo = config.min_code_addr
-    pair = config.mode is Mode.PAIR
-    elements: list = []
-    for v in words:
-        if v & tag:
-            elements.append(_count(elements, v & (tag - 1)))
-        elif v <= MAX_SYMBOL_ID:
-            if v == 0:
-                raise MalformedLog("zero word is neither symbol nor address")
-            elements.append(Symbol(v))
-        elif v < lo:
-            raise MalformedLog(f"word {v:#x} falls in the reserved gap")
-        elif pair:
-            d = next(words, None)
-            if d is None:
-                raise MalformedLog("truncated pair")
-            if not lo <= d < tag:
-                raise MalformedLog("pair destination is not an address word")
-            elements.append(RawPair(v, d))
-        else:
-            elements.append(RawDest(v))
-    return elements
-
-
 def _deserialize_tagged(data: bytes, config: EngineConfig) -> list:
     pair = config.mode is Mode.PAIR
     raw, raw_tag = (RawPair, TAG_RAW_PAIR) if pair else (RawDest, TAG_RAW_DEST)
@@ -198,7 +166,7 @@ def deserialize_log(data: bytes, config: EngineConfig, fmt: LogFormat = LogForma
     """Decode a whole log; its size is the word bytes it was read from
     (all of ``data``, less one tag byte per element when tagged)."""
     if fmt is LogFormat.MEMORY_IMAGE:
-        return Log(tuple(_deserialize_image(data, config)), len(data))
+        return Log(decode_image(_unpack(data, config, MalformedLog), config), len(data))
     elements = _deserialize_tagged(data, config)
     return Log(tuple(elements), len(data) - len(elements))
 

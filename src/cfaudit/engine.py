@@ -28,21 +28,24 @@ that it passed its checks.  Range and mode checks therefore run only when
 a row or that memory lacks the transfer: every table entry is a spec
 entry, checked when the spec set was installed.
 
-Pending raw transfers stay in the log buffer as the caller's objects (the
-destination address in dest mode).  They become ``RawPair``/``RawDest``
-elements only when a log is emitted or ``snapshot()`` is called, so a
-transfer that a later match replaces is never converted.
+The pending log is a buffer of memory-image words, as the device writes
+its evidence buffer: a raw transfer is its ``src, dest`` words (its
+``dest`` word in dest mode), a symbol is its id word and a counter is its
+``counter_tag | count`` word, which coalescing bumps in place.  The log's
+size is its word count times the word size.  An emitted log carries these
+words, so the memory-image codec packs them as they are; its elements are
+decoded only when they are read, and ``snapshot()`` decodes the buffer.
 """
 
 from __future__ import annotations
 
 import sys
-from functools import partial
 from typing import Iterable, Sequence
 
 from .errors import AddressOutOfRange, MalformedLog, ModeMismatch, SliceTooSmall, UnknownSymbol
 from .model import (
     MAX_REPEAT_COUNT,
+    MIN_REPEAT_COUNT,
     EngineConfig,
     Log,
     Mode,
@@ -52,10 +55,10 @@ from .model import (
     SubPathSpec,
     Symbol,
     Transfer,
+    decode_image,
     validate_spec_set,
 )
 
-_COMPRESSED = (Symbol, RepeatCount)
 _IDLE = (0, -1)  # the table entry of a transfer outside every spec's alphabet
 
 
@@ -75,34 +78,29 @@ class Engine:
         self._retry = config.retry_on_mismatch
         if self._pair:
             self._patterns = [tuple((e.src, e.dest) for e in s.entries) for s in specs]
-            # copies a (src, dest) transfer into a RawPair without the
-            # Python-level namedtuple constructor
-            self._raw = partial(tuple.__new__, RawPair)
         else:
             self._patterns = [tuple(s.entries) for s in specs]
-            self._raw = RawDest
         self._alphabet = frozenset(item for p in self._patterns for item in p)
         self._outside: set = set()  # checked transfers outside the alphabet
         self._lens = [len(p) for p in self._patterns]
-        self._drops = [n - 1 for n in self._lens]
+        # words of the raw elements a completion replaces besides its last
+        self._drops = [(n - 1) * (2 if self._pair else 1) for n in self._lens]
         self._ids = [s.id for s in specs]
-        self._symbols = [Symbol(s.id) for s in specs]
         idle = (0,) * len(specs)
         self._states: list[tuple[int, ...]] = [idle]  # state number -> pointers
         self._numbers = {idle: 0}
         self._rows: list[dict] = [{}]  # state number -> {item: (next, winner)}
         self._state = 0
-        self._buf: list = []
-        self._size = 0
+        self._buf: list[int] = []  # the pending log's memory-image words
         self.hits: dict[int, int] = {s.id: 0 for s in specs}
 
     @property
     def size_bytes(self) -> int:
-        return self._size
+        return len(self._buf) * self._word
 
     def snapshot(self) -> tuple:
         """Current log elements, without finalizing."""
-        return self._elements(self._buf)
+        return decode_image(self._buf, self.config)
 
     def step(self, transfer: Transfer) -> None:
         self.feed((transfer,))
@@ -112,62 +110,66 @@ class Engine:
 
         With ``slice_limit``, the current log is emitted (as by
         ``finalize``) whenever appending the next raw element would take
-        it past that many bytes; the emitted logs are returned.  On an
-        invalid transfer the engine keeps the state reached before it.
+        it past that many bytes; the emitted logs are returned.  A limit
+        below one raw element raises ``SliceTooSmall`` before any transfer
+        is read.  On an invalid transfer the engine keeps the state
+        reached before it.
         """
+        raw = self._raw_bytes
+        if slice_limit is None:
+            cut = sys.maxsize
+        elif slice_limit < raw:
+            raise SliceTooSmall(f"slice budget {slice_limit} below one raw element ({raw} bytes)")
+        else:
+            # a log of more words has no room for one more raw element
+            cut = (slice_limit - raw) // self._word
         pair = self._pair
+        config = self.config
         rows = self._rows
         idle_row = rows[0]
-        symbols = self._symbols
         drops = self._drops
         ids = self._ids
         hits = self.hits
         outside = self._outside
-        raw = self._raw_bytes
-        word = self._word
-        cut = sys.maxsize if slice_limit is None else slice_limit - raw
+        tag = self._hi
+        first_count = tag | MIN_REPEAT_COUNT
+        full = tag | MAX_REPEAT_COUNT
         out: list[Log] = []
         state = self._state
         row = rows[state]
         buf = self._buf
-        size = self._size
+        push = buf.extend if pair else buf.append
         try:
             for t in trace:
-                if size > cut:
-                    out.append(Log(self._elements(buf), size))
-                    buf, size, state, row = [], 0, 0, idle_row
+                if len(buf) > cut:
+                    out.append(Log.from_words(tuple(buf), config))
+                    buf, state, row = [], 0, idle_row
+                    push = buf.extend if pair else buf.append
                 key = t if pair else t.dest
                 entry = row.get(key)
                 if entry is None:
                     entry = _IDLE if key in outside else self._miss(state, key)
                 state, winner = entry
                 if winner < 0:
-                    buf.append(key)
-                    size += raw
+                    push(key)
                     row = rows[state]
                     continue
                 row = idle_row
                 drop = drops[winner]
                 if drop:
                     del buf[-drop:]
-                    size -= drop * raw
-                sym = symbols[winner]
-                tail = buf[-1] if buf else None
-                if tail is sym:
-                    buf.append(RepeatCount(2))
-                    size += word
-                elif (
-                    type(tail) is RepeatCount
-                    and tail.count < MAX_REPEAT_COUNT
-                    and buf[-2] is sym
-                ):
-                    buf[-1] = RepeatCount(tail.count + 1)
+                # symbol ids, addresses and counters occupy disjoint word ranges
+                sid = ids[winner]
+                tail = buf[-1] if buf else 0
+                if tail == sid:
+                    buf.append(first_count)
+                elif tag < tail < full and buf[-2] == sid:
+                    buf[-1] = tail + 1
                 else:
-                    buf.append(sym)
-                    size += word
-                hits[ids[winner]] += 1
+                    buf.append(sid)
+                hits[sid] += 1
         finally:
-            self._buf, self._size, self._state = buf, size, state
+            self._buf, self._state = buf, state
         return out
 
     def _miss(self, state: int, item) -> tuple[int, int]:
@@ -211,19 +213,14 @@ class Engine:
         entry = self._rows[state][item] = (nxt, winner)
         return entry
 
-    def _elements(self, buf: list) -> tuple:
-        make = self._raw
-        return tuple([e if type(e) in _COMPRESSED else make(e) for e in buf])
-
     def finalize(self) -> Log:
         """Emit the accumulated log; abandoned partial matches stay raw.
 
         Detector and coalescing state reset, so the engine can keep
         running to produce the next slice.
         """
-        log = Log(self._elements(self._buf), self._size)
+        log = Log.from_words(tuple(self._buf), self.config)
         self._buf = []
-        self._size = 0
         self._state = 0
         return log
 
@@ -246,14 +243,8 @@ def slice_compress(
     match or repeat group ever spans a slice boundary and emitted slices
     are never rewritten.
     """
-    append = config.raw_element_bytes
-    limit = config.slice_size_bytes
-    if limit < append:
-        raise SliceTooSmall(
-            f"slice budget {limit} below one raw element ({append} bytes)"
-        )
     engine = Engine(specs, config)
-    slices = engine.feed(trace, limit)
+    slices = engine.feed(trace, config.slice_size_bytes)
     slices.append(engine.finalize())
     return slices
 

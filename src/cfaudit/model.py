@@ -14,7 +14,7 @@ interval ``[min_code_addr, 1 << (addr_width - 1))``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -23,6 +23,7 @@ from .errors import (
     CapacityExceeded,
     DuplicateId,
     LenOverflow,
+    MalformedLog,
     ModeMismatch,
     TooManySpecs,
 )
@@ -129,15 +130,101 @@ def check_address(value: int, config: EngineConfig) -> int:
     return value
 
 
-@dataclass(frozen=True)
 class Log:
-    """An ordered element sequence plus its encoded size in bytes."""
+    """An ordered element sequence plus its encoded size in bytes.
 
-    elements: tuple[LogElement, ...]
-    size_bytes: int
+    A log the engine emits also carries ``words``, its memory image under
+    ``config``, and decodes ``elements`` from them on first read; a log
+    built from elements has ``words`` and ``config`` None.  Either way a
+    log is immutable, and equality, hash and repr are those of
+    ``(elements, size_bytes)``."""
+
+    __slots__ = ("_elements", "size_bytes", "words", "config")
+
+    def __init__(self, elements: tuple[LogElement, ...], size_bytes: int):
+        self._fill(elements, size_bytes, None, None)
+
+    @classmethod
+    def from_words(cls, words: tuple[int, ...], config: EngineConfig) -> Log:
+        """The log whose memory image under ``config`` is ``words``, which
+        must be well formed: its elements are decoded on first read."""
+        log = cls.__new__(cls)
+        log._fill(None, len(words) * config.word_bytes, words, config)
+        return log
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    @property
+    def elements(self) -> tuple[LogElement, ...]:
+        elements = self._elements
+        if elements is None:
+            elements = decode_image(self.words, self.config)
+            object.__setattr__(self, "_elements", elements)
+        return elements
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.size_bytes == other.size_bytes and self.elements == other.elements
+
+    def __hash__(self) -> int:
+        return hash((self.elements, self.size_bytes))
+
+    def __repr__(self) -> str:
+        return f"Log(elements={self.elements!r}, size_bytes={self.size_bytes!r})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__: attribute assignment raises
+        return (Log, (self.elements, self.size_bytes))
 
     def is_raw(self) -> bool:
         return all(isinstance(e, (RawPair, RawDest)) for e in self.elements)
+
+
+def _count(elements: list, count: int) -> RepeatCount:
+    """The decoded counter after ``elements``: it must follow a symbol."""
+    if not elements or type(elements[-1]) is not Symbol:
+        raise MalformedLog("repeat count not preceded by a symbol")
+    if not MIN_REPEAT_COUNT <= count <= MAX_REPEAT_COUNT:
+        raise MalformedLog(f"repeat count {count} out of range")
+    return RepeatCount(count)
+
+
+def decode_image(words: Iterable[int], config: EngineConfig) -> tuple[LogElement, ...]:
+    """The elements of memory-image ``words`` under ``config``; raises
+    ``MalformedLog`` on any word sequence the engine cannot emit."""
+    words = iter(words)
+    tag = config.counter_tag
+    lo = config.min_code_addr
+    pair = config.mode is Mode.PAIR
+    elements: list = []
+    for v in words:
+        if v & tag:
+            elements.append(_count(elements, v & (tag - 1)))
+        elif v <= MAX_SYMBOL_ID:
+            if v == 0:
+                raise MalformedLog("zero word is neither symbol nor address")
+            elements.append(Symbol(v))
+        elif v < lo:
+            raise MalformedLog(f"word {v:#x} falls in the reserved gap")
+        elif pair:
+            d = next(words, None)
+            if d is None:
+                raise MalformedLog("truncated pair")
+            if not lo <= d < tag:
+                raise MalformedLog("pair destination is not an address word")
+            elements.append(RawPair(v, d))
+        else:
+            elements.append(RawDest(v))
+    return tuple(elements)
 
 
 def make_log(elements: Iterable[LogElement], config: EngineConfig) -> Log:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfaudit import codec, engine as engine_module, model, protocol
 from cfaudit.codec import encode_raw, serialize_log
 from cfaudit.engine import Engine, compress_trace, expand, slice_compress
 from cfaudit.errors import (
@@ -12,8 +13,11 @@ from cfaudit.errors import (
     TooManySpecs,
     UnknownSymbol,
 )
+from cfaudit.metrics import build_report
 from cfaudit.model import (
     EngineConfig,
+    Log,
+    LogFormat,
     Mode,
     RepeatCount,
     RawDest,
@@ -23,7 +27,8 @@ from cfaudit.model import (
     Transfer,
     make_log,
 )
-from cfaudit.oracle import oracle_slice_compress
+from cfaudit.oracle import oracle_compress, oracle_slice_compress
+from cfaudit.selection import estimate_savings
 
 from conftest import CONFIG_GRID, random_instance
 
@@ -311,6 +316,16 @@ class TestSliceCompress:
         with pytest.raises(SliceTooSmall):
             slice_compress([], [], EngineConfig(slice_size_bytes=3))
 
+    def test_feed_rejects_limit_below_one_raw_element(self):
+        eng = Engine([], PAIR16)
+        trace = pairs((A, B), (B, D))
+        with pytest.raises(SliceTooSmall):
+            eng.feed(trace, 2)
+        assert eng.snapshot() == () and eng.size_bytes == 0
+        # a limit of exactly one raw element holds one per log
+        assert eng.feed(trace, 4) == [Log((RawPair(A, B),), 4)]
+        assert eng.finalize() == Log((RawPair(B, D),), 4)
+
     def test_match_never_spans_boundary(self):
         # slice budget of 2 pairs; a 3-entry spec occurrence straddling the
         # boundary must stay raw in both slices
@@ -446,6 +461,85 @@ def test_slices_equal_oracle_across_grid(inst):
     assert [s.size_bytes for s in ours] == [s.size_bytes for s in oracle]
     for s in ours:
         assert_exact_types(s.elements, config)
+
+
+def assert_same_log(ours, want, config):
+    """``ours``, a log the engine emitted, is the oracle's element log
+    ``want`` in every way a caller sees; its image bytes are checked
+    while its elements are still undecoded."""
+    assert ours.words is not None
+    for fmt in (LogFormat.MEMORY_IMAGE, LogFormat.PORTABLE_TAGGED):
+        assert serialize_log(ours, config, fmt) == serialize_log(want, config, fmt)
+    assert hash(ours) == hash(want)
+    assert repr(ours) == repr(want)
+    assert ours.size_bytes == want.size_bytes
+    assert ours == want and want == ours
+    assert_exact_types(ours.elements, config)
+
+
+@given(grid_instances(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_word_logs_equal_oracle_logs(inst, data):
+    trace, specs, config = inst
+    assert_same_log(compress_trace(trace, specs, config),
+                    oracle_compress(trace, specs, config), config)
+    ours = slice_compress(trace, specs, config)
+    want = oracle_slice_compress(trace, specs, config)
+    assert len(ours) == len(want)
+    for got, expected in zip(ours, want):
+        assert_same_log(got, expected, config)
+    # finalize restarts the log, so an engine fed on emits the second part
+    k = data.draw(st.integers(0, len(trace)))
+    eng = Engine(specs, config)
+    for part in (trace[:k], trace[k:]):
+        eng.feed(part)
+        want = oracle_compress(part, specs, config)
+        assert eng.snapshot() == want.elements
+        assert_exact_types(eng.snapshot(), config)
+        assert_same_log(eng.finalize(), want, config)
+
+
+def test_word_log_under_another_config_serializes_its_elements():
+    log = compress_trace(ABD_TRACE * 2 + pairs((G, X)), [ABD_SPEC], PAIR16)
+    copy = Log(log.elements, log.size_bytes)
+    wide = EngineConfig(addr_width=32)
+    assert serialize_log(log, wide) == serialize_log(copy, wide)
+    with pytest.raises(ModeMismatch):
+        serialize_log(log, EngineConfig(mode=Mode.DEST))
+
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """Counts the calls of the shared memory-image decoder."""
+    calls = []
+    decode = model.decode_image
+
+    def counted(words, config):
+        calls.append(len(words))
+        return decode(words, config)
+
+    for module in (model, codec, engine_module):
+        monkeypatch.setattr(module, "decode_image", counted)
+    return calls
+
+
+def test_fast_paths_decode_nothing(decodes):
+    trace = (ABD_TRACE * 3 + pairs((G, X))) * 40  # symbols, counters, raw; two slices
+    prior = encode_raw(trace, PAIR16)
+    prior.elements
+    decodes.clear()
+    key = b"k" * 32
+    prover = protocol.Prover(key, PAIR16)
+    prover.handle_request(protocol.Verifier(key, PAIR16).open_session([ABD_SPEC]).encode())
+    assert len(prover.run(trace)) == 2
+    build_report("fast", trace, [ABD_SPEC], PAIR16, include_baseline=True)
+    estimate_savings(ABD_SPEC, [prior], PAIR16)
+    assert decodes == []
+    log = compress_trace(trace, [ABD_SPEC], PAIR16)
+    assert log.elements[:3] == (Symbol(1), RepeatCount(3), RawPair(G, X))
+    assert len(decodes) == 1
+    log.elements
+    assert len(decodes) == 1
 
 
 @given(grid_instances())
