@@ -35,11 +35,28 @@ its evidence buffer: a raw transfer is its ``src, dest`` words (its
 size is its word count times the word size.  An emitted log carries these
 words, so the memory-image codec packs them as they are; its elements are
 decoded only when they are read, and ``snapshot()`` decodes the buffer.
+
+A loop body that repeats back to back is replayed rather than stepped.
+Every win returns the automaton to idle, so a win that coalesces (its
+previous word is the same spec's symbol or counter) has read exactly that
+spec's entries from idle, with no win before the last one.  The automaton
+is deterministic, so each further copy of the entries read from idle ends
+in the same win.  After a coalescing win, when the input is a ``list`` or
+``tuple``, the next ``len`` transfers are compared with the entries in one
+slice comparison (dest mode compares their ``dest`` projections).  While
+they match, and the log has room for the whole copy read raw (its word
+count plus the ``len - 1`` raw elements the win drops stays within the
+slice cut, so no slice would be emitted inside it), the counter is bumped
+(a saturated counter starts a new symbol) and the iterator skips the copy.
+Any other input is stepped transfer by transfer; both give the same words
+and hits.
 """
 
 from __future__ import annotations
 
 import sys
+from itertools import islice
+from operator import attrgetter, length_hint
 from typing import Iterable, Sequence
 
 from .errors import AddressOutOfRange, MalformedLog, ModeMismatch, SliceTooSmall, UnknownSymbol
@@ -60,6 +77,7 @@ from .model import (
 )
 
 _IDLE = (0, -1)  # the table entry of a transfer outside every spec's alphabet
+_dest_of = attrgetter("dest")
 
 
 class Engine:
@@ -80,6 +98,7 @@ class Engine:
             self._patterns = [tuple((e.src, e.dest) for e in s.entries) for s in specs]
         else:
             self._patterns = [tuple(s.entries) for s in specs]
+        self._pattern_lists = [list(p) for p in self._patterns]
         self._alphabet = frozenset(item for p in self._patterns for item in p)
         self._outside: set = set()  # checked transfers outside the alphabet
         self._lens = [len(p) for p in self._patterns]
@@ -139,8 +158,13 @@ class Engine:
         row = rows[state]
         buf = self._buf
         push = buf.extend if pair else buf.append
+        # only a list or tuple is sliced to replay loop bodies; a pair slice
+        # has the input's type, a dest projection is a list
+        seq = trace if type(trace) in (list, tuple) else None
+        bodies = self._pattern_lists if not pair or type(trace) is list else self._patterns
+        it = iter(trace)
         try:
-            for t in trace:
+            for t in it:
                 if len(buf) > cut:
                     out.append(Log.from_words(tuple(buf), config))
                     buf, state, row = [], 0, idle_row
@@ -160,6 +184,7 @@ class Engine:
                     del buf[-drop:]
                 # symbol ids, addresses and counters occupy disjoint word ranges
                 sid = ids[winner]
+                hits[sid] += 1
                 tail = buf[-1] if buf else 0
                 if tail == sid:
                     buf.append(first_count)
@@ -167,7 +192,29 @@ class Engine:
                     buf[-1] = tail + 1
                 else:
                     buf.append(sid)
-                hits[sid] += 1
+                    continue
+                # a coalescing win read this body from idle: replay the
+                # copies that follow it (see the module docstring)
+                if seq is None:
+                    continue
+                pattern = bodies[winner]
+                n = len(pattern)
+                room = cut - drop
+                start = end = len(seq) - length_hint(it)
+                while len(buf) <= room and (
+                    seq[end : end + n] if pair else [*map(_dest_of, seq[end : end + n])]
+                ) == pattern:
+                    end += n
+                    tail = buf[-1]  # this spec's symbol or counter
+                    if tail == sid:
+                        buf.append(first_count)
+                    elif tail < full:
+                        buf[-1] = tail + 1
+                    else:
+                        buf.append(sid)
+                if end > start:
+                    hits[sid] += (end - start) // n
+                    next(islice(it, end - start, end - start), None)
         finally:
             self._buf, self._state = buf, state
         return out

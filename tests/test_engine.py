@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfaudit import codec, engine as engine_module, model, protocol
-from cfaudit.codec import encode_raw, serialize_log
+from cfaudit.codec import blockmem_block_bytes, encode_raw, serialize_log
 from cfaudit.engine import Engine, compress_trace, expand, slice_compress
 from cfaudit.errors import (
     AddressOutOfRange,
@@ -15,6 +15,7 @@ from cfaudit.errors import (
 )
 from cfaudit.metrics import build_report
 from cfaudit.model import (
+    MAX_REPEAT_COUNT,
     EngineConfig,
     Log,
     LogFormat,
@@ -605,3 +606,179 @@ class TestErrorParity:
             compress_trace(prefix + [bad], specs, config)
         with pytest.raises(error):
             slice_compress(prefix + [bad], specs, config)
+
+
+# --- loop-body replay ---------------------------------------------------------
+
+@st.composite
+def burst_instances(draw):
+    """Runs of 1-12 back-to-back copies of up to four loop bodies mixed with
+    noise, under a CONFIG_GRID config with retry on or off and a slice
+    budget from one raw element upward, so cuts land inside bursts.  The
+    specs are the bodies plus some of their sub-windows, which may win
+    inside a body, in shuffled order with shuffled ids.  In dest mode every
+    transfer gets its own source, sometimes None, which the engine ignores."""
+    base = draw(st.sampled_from(CONFIG_GRID))
+    config = EngineConfig(
+        mode=base.mode,
+        addr_width=base.addr_width,
+        slice_size_bytes=draw(st.integers(base.raw_element_bytes, 96)),
+        retry_on_mismatch=draw(st.booleans()),
+    )
+    pair = config.mode is Mode.PAIR
+    lo = config.min_code_addr
+    addr = st.sampled_from([lo, lo + 0x10, lo + 0x100, config.counter_tag - 1])
+    key = st.tuples(addr, addr) if pair else addr
+    body = st.lists(key, min_size=1, max_size=5).map(tuple)
+    bodies = draw(st.lists(body, min_size=1, max_size=4, unique=True))
+    runs = draw(st.lists(st.one_of(
+        st.tuples(st.sampled_from(bodies), st.integers(1, 12)),
+        st.tuples(st.lists(key, min_size=1, max_size=4), st.just(1)),
+    ), max_size=12))
+    sources = draw(st.randoms(use_true_random=False))
+    trace = []
+    for keys, copies in runs:
+        for k in list(keys) * copies:
+            trace.append(Transfer(*k) if pair else Transfer(sources.choice([None, lo, k]), k))
+    windows = sorted({b[i:j] for b in bodies for i in range(len(b))
+                      for j in range(i + 1, len(b) + 1)} - set(bodies))
+    extra = draw(st.lists(st.sampled_from(windows), max_size=3, unique=True)) if windows else []
+    entries = draw(st.permutations(bodies + extra))
+    ids = draw(st.lists(st.integers(1, 255), min_size=len(entries), max_size=len(entries),
+                        unique=True))
+    specs = [SubPathSpec(i, tuple(Transfer(*e) for e in es) if pair else es)
+             for i, es in zip(ids, entries)]
+    return trace, specs, config
+
+
+def oracle_hits(elements, specs):
+    """Occurrences per spec id in an oracle log: a symbol is one, the
+    counter after it adds its count less one."""
+    hits = {s.id: 0 for s in specs}
+    for e in elements:
+        if type(e) is Symbol:
+            last = e.id
+            hits[last] += 1
+        elif type(e) is RepeatCount:
+            hits[last] += e.count - 1
+    return hits
+
+
+@given(burst_instances())
+@settings(max_examples=300, deadline=None)
+def test_burst_traces_equal_oracle(inst):
+    trace, specs, config = inst
+    want = oracle_slice_compress(trace, specs, config)
+    for shape in (list, tuple):
+        ours = slice_compress(shape(trace), specs, config)
+        assert len(ours) == len(want)
+        for got, expected in zip(ours, want):
+            assert_same_log(got, expected, config)
+    whole = oracle_compress(trace, specs, config)
+    assert_same_log(compress_trace(trace, specs, config), whole, config)
+    eng = Engine(specs, config)
+    assert eng.feed(trace) == []
+    assert eng.hits == oracle_hits(whole.elements, specs)
+    assert_same_log(eng.finalize(), whole, config)
+
+
+@given(burst_instances(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_input_shapes_give_the_same_words_and_hits(inst, data):
+    trace, specs, config = inst
+    k = data.draw(st.integers(0, len(trace)))
+    results = []
+    for feed in (
+        lambda eng: eng.feed(trace),
+        lambda eng: eng.feed(tuple(trace)),
+        lambda eng: eng.feed(t for t in trace),
+        lambda eng: [eng.step(t) for t in trace],
+        lambda eng: (eng.feed(trace[:k]), eng.feed(tuple(trace[k:]))),
+    ):
+        eng = Engine(specs, config)
+        feed(eng)
+        results.append((eng.finalize().words, eng.hits))
+    assert results.count(results[0]) == len(results)
+    limit = config.slice_size_bytes
+    sliced = []
+    for shape in (list, tuple, iter):
+        eng = Engine(specs, config)
+        logs = eng.feed(shape(trace), limit)
+        sliced.append(([log.words for log in logs] + [eng.finalize().words], eng.hits))
+    assert sliced.count(sliced[0]) == len(sliced)
+
+
+class TestReplay:
+    """Back-to-back copies of a loop body after a coalescing win are
+    replayed; each case puts the replay where it could go wrong."""
+
+    @pytest.mark.parametrize("noise", [0, 60, 61, 62])
+    def test_burst_past_max_count_cut_mid_burst(self, noise):
+        # a 256-byte slice holds 126 words before one more raw pair: after
+        # 60-61 raw pairs the burst's counters reach the cut, after 62 its
+        # first copy does, and the counter saturates inside the burst
+        body = pairs((A, B), (B, D))
+        spec = SubPathSpec(1, body)
+        copies = 2 * MAX_REPEAT_COUNT + 3
+        trace = pairs(*[(G, X)] * noise) + body * copies
+        eng = Engine([spec], PAIR16)
+        ours = eng.feed(trace, PAIR16.slice_size_bytes) + [eng.finalize()]
+        want = oracle_slice_compress(trace, [spec], PAIR16)
+        assert len(ours) == len(want) == (1 if noise < 60 else 2)
+        for got, expected in zip(ours, want):
+            assert_same_log(got, expected, PAIR16)
+        # a copy cut by the slice boundary stays raw
+        assert eng.hits == {1: copies - (noise >= 60)}
+        assert RepeatCount(MAX_REPEAT_COUNT) in ours[0 if noise < 62 else 1].elements
+        if noise == 61:
+            # cut after the first saturation, inside the copy that follows
+            assert ours[0].elements[-4:] == (
+                Symbol(1), RepeatCount(MAX_REPEAT_COUNT), Symbol(1), RawPair(A, B))
+            assert ours[1].elements[:3] == (RawPair(B, D), Symbol(1), RepeatCount(MAX_REPEAT_COUNT))
+
+    def test_pattern_won_by_lower_index_spec(self):
+        # spec 2 wins once, after the raw (D, G); from idle, its next copy
+        # completes spec 1 on the same last transfer, and spec 1 wins the
+        # tie, so spec 2 never gets a counter
+        s1 = SubPathSpec(1, pairs((D, G), (B, D), (A, B)))
+        s2 = SubPathSpec(2, pairs((B, D), (D, G), (B, D), (A, B)))
+        trace = pairs((D, G)) + list(s2.entries) * 4
+        want = (RawPair(D, G), Symbol(2)) + (RawPair(B, D), Symbol(1)) * 3
+        for shape in (list, tuple):
+            eng = Engine([s1, s2], PAIR16)
+            eng.feed(shape(trace))
+            assert eng.hits == {1: 3, 2: 1}
+            assert_same_log(eng.finalize(), oracle_compress(trace, [s1, s2], PAIR16), PAIR16)
+        assert compress_trace(trace, [s1, s2], PAIR16).elements == want
+
+    def test_pattern_won_earlier_only_with_retry(self):
+        # without retry the repeated (A, B) resets spec 1, so spec 2 wins
+        # every copy; with retry it restarts spec 1, which wins inside
+        # each copy, so spec 2 never wins
+        s1 = SubPathSpec(1, pairs((A, B), (B, D)))
+        s2 = SubPathSpec(2, pairs((A, B), (A, B), (B, D), (D, G)))
+        trace = list(s2.entries) * 5
+        cases = [
+            (PAIR16, (Symbol(2), RepeatCount(5)), {1: 0, 2: 5}),
+            (EngineConfig(retry_on_mismatch=True),
+             (RawPair(A, B), Symbol(1), RawPair(D, G)) * 5, {1: 5, 2: 0}),
+        ]
+        for config, want, hits in cases:
+            eng = Engine([s1, s2], config)
+            eng.feed(trace)
+            assert eng.hits == hits
+            log = eng.finalize()
+            assert log.elements == want
+            assert_same_log(log, oracle_compress(trace, [s1, s2], config), config)
+
+    def test_dest_mode_savings_of_a_raw_prior(self):
+        # a raw dest-mode prior is a tuple of RawDest, which has no source
+        dest16 = EngineConfig(mode=Mode.DEST)
+        spec = SubPathSpec(1, (A, B, D))
+        trace = pairs((G, X)) + pairs((X, A), (A, B), (B, D)) * 50 + pairs((D, G))
+        prior = encode_raw(trace, dest16)
+        assert type(prior.elements) is tuple and type(prior.elements[0]) is RawDest
+        compressed = oracle_compress(trace, [spec], dest16)
+        assert compressed.elements[1:3] == (Symbol(1), RepeatCount(50))
+        want = prior.size_bytes - compressed.size_bytes - blockmem_block_bytes(3, dest16)
+        assert estimate_savings(spec, [prior], dest16) == want
