@@ -76,7 +76,10 @@ def _unpack(data: bytes, config: EngineConfig, error: type[Exception]) -> tuple[
 
 def encode_raw(trace: Iterable[Transfer], config: EngineConfig) -> Log:
     """Canonical raw log for a transfer sequence: one element per transfer.
-    This is the engine with no specs, which range- and mode-checks each."""
+    This is the engine with no specs: it checks each distinct transfer's
+    range and mode once and then writes the words in bulk.  A transfer that
+    fails the check sends the whole input through the engine's
+    transfer-by-transfer loop, which raises at that transfer."""
     return compress_trace(trace, (), config)
 
 

@@ -50,12 +50,23 @@ slice cut, so no slice would be emitted inside it), the counter is bumped
 (a saturated counter starts a new symbol) and the iterator skips the copy.
 Any other input is stepped transfer by transfer; both give the same words
 and hits.
+
+An engine with no specs writes the raw memory image, the log a plain
+auditing prover sends, so it needs no table.  ``feed`` then reads a
+generator into a list (one that raises leaves the engine as it was) and
+checks each distinct transfer not checked before, with the loop's range
+and mode rules.  It extends the pending words in runs that end at each
+slice cut; a slice is cut before a transfer that finds the log past the
+cut, as in the loop.  If any transfer fails the check, the loop runs over
+the same transfers instead, so the error, the transfer that raises it and
+the state left behind are the loop's own.  The loop stays the only path
+with specs installed, since only it tracks detector state.
 """
 
 from __future__ import annotations
 
 import sys
-from itertools import islice
+from itertools import chain, islice
 from operator import attrgetter, length_hint
 from typing import Iterable, Sequence
 
@@ -142,6 +153,11 @@ class Engine:
         else:
             # a log of more words has no room for one more raw element
             cut = (slice_limit - raw) // self._word
+        if not self._ids:
+            trace = trace if type(trace) in (list, tuple) else [*trace]
+            words = self._raw_words(trace)
+            if words is not None:
+                return self._extend_raw(words, cut)
         pair = self._pair
         config = self.config
         rows = self._rows
@@ -219,12 +235,44 @@ class Engine:
             self._buf, self._state = buf, state
         return out
 
+    def _raw_words(self, seq: Sequence) -> list | None:
+        """The memory-image words of ``seq`` read raw, or None when some
+        transfer fails ``_miss``'s checks: the loop raises at that one."""
+        try:
+            keys = seq if self._pair else [*map(_dest_of, seq)]
+            for key in set(keys).difference(self._outside):
+                self._miss(0, key)
+        except Exception:  # whatever fails here, the loop raises in place
+            return None
+        return [*chain.from_iterable(seq)] if self._pair else keys
+
+    def _extend_raw(self, words: list, cut: int) -> list[Log]:
+        """Append raw ``words`` to the pending log, emitting it wherever
+        the loop would: before a transfer that finds it past ``cut`` words."""
+        width = 2 if self._pair else 1
+        buf = self._buf
+        out: list[Log] = []
+        pos, end = 0, len(words)
+        while pos < end:
+            if len(buf) > cut:
+                out.append(Log.from_words(tuple(buf), self.config))
+                buf = []
+            # the transfers that fit before the log is past the cut
+            take = ((cut - len(buf)) // width + 1) * width
+            buf += words[pos : pos + take]
+            pos += take
+        self._buf = buf
+        return out
+
     def _miss(self, state: int, item) -> tuple[int, int]:
         """Check a transfer the table does not know in ``state``, then add
         its entry (or, outside the alphabet, send it to idle)."""
         lo, hi = self._lo, self._hi
         if self._pair:
-            src, dest = item
+            try:
+                src, dest = item
+            except (TypeError, ValueError):
+                raise ModeMismatch(f"pair-mode engine fed {item!r}, not a (src, dest) pair") from None
             if src is None:
                 raise ModeMismatch("pair-mode engine fed a transfer without source")
             if not (lo <= src < hi and lo <= dest < hi):

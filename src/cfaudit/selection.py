@@ -11,6 +11,7 @@ selected path; for static selection it means no shared transfer pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .cfg import (
@@ -49,17 +50,30 @@ class Candidate:
         return len(self.entries)
 
 
-def _raw_elements(log: Log, mode: Mode) -> tuple:
-    """The elements of a raw log of ``mode``, as they are; another mode's
-    raw elements raise ``ModeMismatch``, compressed ones ``ValueError``."""
-    raw = RawPair if mode is Mode.PAIR else RawDest
+def _raw_keys(log: Log, mode: Mode) -> Sequence:
+    """The transfer keys of a raw log of ``mode``: ``(src, dest)`` pairs in
+    pair mode, destinations in dest mode.  A log that carries words of this
+    mode, each an address word, is keyed on its words.  Any other log is
+    scanned element by element: another mode's raw elements raise
+    ``ModeMismatch``, compressed ones ``ValueError``."""
+    pair = mode is Mode.PAIR
+    words, config = log.words, log.config
+    # a compressed image holds a symbol word, and symbols lie below every address
+    if words is not None and config.mode is mode and (
+        not words or min(words) >= config.min_code_addr
+    ):
+        if not pair:
+            return words
+        it = iter(words)
+        return [*zip(it, it)]
+    raw = RawPair if pair else RawDest
     for e in log.elements:
         if type(e) is not raw:
             if isinstance(e, (RawPair, RawDest)):
                 other = "pair" if mode is Mode.DEST else "dest"
                 raise ModeMismatch(f"{other} elements in {mode.value}-mode input")
             raise ValueError("input must be raw (expanded) logs")
-    return log.elements
+    return log.elements if pair else [e.dest for e in log.elements]
 
 
 def enumerate_candidates(
@@ -72,33 +86,46 @@ def enumerate_candidates(
     counted greedily left-to-right without overlap, summed over logs.
 
     Windows are hash-consed into a trie of node ids: each distinct key is
-    interned to a small int, and a window's node is its one-shorter
-    prefix's node extended by its last key id, one int lookup in ``child``.
-    A node fixes its window's length, so one greedy ``next_free`` per node
-    counts per (length, window).  Positions run on from log to log, so an
-    occurrence in one log never blocks one in the next."""
+    interned to a small int, and each start's ``lo``-long window is
+    interned as a root node.  A longer window's node is its one-shorter
+    prefix's node extended by its last key id, one int lookup in
+    ``child``.  A node fixes its window's length, so one greedy
+    ``next_free`` per node counts per (length, window).  Positions run on
+    from log to log, so an occurrence in one log never blocks one in the
+    next."""
     lo, hi = len_range
     if lo < 1 or hi < lo:
         raise ValueError(f"bad len_range {len_range}: need 1 <= lo <= hi")
-    key_ids: dict = {}  # a RawPair key hashes and compares as its tuple
     pair = mode is Mode.PAIR
-    seqs = [[key_ids.setdefault(k if pair else k.dest, len(key_ids))
-             for k in _raw_elements(log, mode)]
-            for log in logs]
+    keyed = [_raw_keys(log, mode) for log in logs]
+    # a RawPair key hashes and compares as its tuple
+    key_ids = {k: i for i, k in enumerate(dict.fromkeys(chain.from_iterable(keyed)))}
+    seqs = [[*map(key_ids.__getitem__, keys)] for keys in keyed]
     objs = [Transfer(*k) for k in key_ids] if pair else list(key_ids)
     radix = len(objs) or 1
+    roots: dict[tuple, int] = {}  # lo key ids -> node
     child: dict[int, int] = {}  # node * radix + key id -> node
     find = child.get
-    entries: list[tuple] = [()]  # per node; node 0 is the empty window
-    count, next_free = [0], [0]
+    entries: list[tuple] = []  # per node
+    count: list[int] = []
+    next_free: list[int] = []
     start = 0  # position of the current log's first key across all logs
     for ids in seqs:
         n = len(ids)
-        for i in range(n):
-            node = 0
+        for i, window in enumerate(zip(*(ids[k:] for k in range(lo)))):
+            node = roots.get(window)
+            if node is None:
+                node = roots[window] = len(entries)
+                entries.append(tuple(map(objs.__getitem__, window)))
+                count.append(0)
+                next_free.append(0)
             at = start + i
-            first = i + lo - 1  # last key index of the shortest counted window
-            for j in range(i, min(i + hi, n)):
+            # greedy: an occurrence counts only if it starts at or after
+            # the end of the previously counted one
+            if next_free[node] <= at:
+                count[node] += 1
+                next_free[node] = at + lo
+            for j in range(i + lo, min(i + hi, n)):
                 edge = node * radix + ids[j]
                 node_next = find(edge)
                 if node_next is None:
@@ -107,14 +134,13 @@ def enumerate_candidates(
                     count.append(0)
                     next_free.append(0)
                 node = node_next
-                # greedy: an occurrence counts only if it starts at or after
-                # the end of the previously counted one
-                if j >= first and next_free[node] <= at:
+                if next_free[node] <= at:
                     count[node] += 1
                     next_free[node] = start + j + 1
         start += n
+    # every node was counted at its first occurrence
     return sorted(
-        (Candidate(e, c) for e, c in zip(entries, count) if c),
+        (Candidate(e, c) for e, c in zip(entries, count)),
         key=lambda c: (len(c.entries), c.entries),
     )
 
@@ -327,6 +353,8 @@ def estimate_savings(
     logs, minus its block-memory cost; negative when it never pays off."""
     saved = 0
     for log in logs:
-        trace = _raw_elements(log, config.mode)
+        trace = _raw_keys(log, config.mode)
+        if config.mode is Mode.DEST:
+            trace = [*map(RawDest, trace)]  # the engine reads a transfer's dest
         saved += log.size_bytes - compress_trace(trace, [spec], config).size_bytes
     return saved - blockmem_block_bytes(spec.length, config)

@@ -29,7 +29,7 @@ from cfaudit.model import (
     make_log,
 )
 from cfaudit.oracle import oracle_compress, oracle_slice_compress
-from cfaudit.selection import estimate_savings
+from cfaudit.selection import enumerate_candidates, estimate_savings
 
 from conftest import CONFIG_GRID, random_instance
 
@@ -526,16 +526,19 @@ def decodes(monkeypatch):
 
 def test_fast_paths_decode_nothing(decodes):
     trace = (ABD_TRACE * 3 + pairs((G, X))) * 40  # symbols, counters, raw; two slices
-    prior = encode_raw(trace, PAIR16)
-    prior.elements
-    decodes.clear()
     key = b"k" * 32
     prover = protocol.Prover(key, PAIR16)
     prover.handle_request(protocol.Verifier(key, PAIR16).open_session([ABD_SPEC]).encode())
     assert len(prover.run(trace)) == 2
     build_report("fast", trace, [ABD_SPEC], PAIR16, include_baseline=True)
-    estimate_savings(ABD_SPEC, [prior], PAIR16)
+    prior = encode_raw(trace, PAIR16)
+    mined = enumerate_candidates([prior], (2, 4))
+    saved = estimate_savings(ABD_SPEC, [prior], PAIR16)
     assert decodes == []
+    copy = Log(prior.elements, prior.size_bytes)  # a hand-built element log
+    assert mined == enumerate_candidates([copy], (2, 4))
+    assert saved == estimate_savings(ABD_SPEC, [copy], PAIR16)
+    decodes.clear()
     log = compress_trace(trace, [ABD_SPEC], PAIR16)
     assert log.elements[:3] == (Symbol(1), RepeatCount(3), RawPair(G, X))
     assert len(decodes) == 1
@@ -574,6 +577,8 @@ class TestErrorParity:
         (Transfer(0x0100, B), AddressOutOfRange),
         (Transfer(A, 0x8000), AddressOutOfRange),
         (Transfer(None, B), ModeMismatch),
+        (RawDest(B), ModeMismatch),  # not a (src, dest) pair
+        ((A, B, D), ModeMismatch),
     ]
 
     @pytest.mark.parametrize("where", sorted(PREFIXES))
@@ -606,6 +611,108 @@ class TestErrorParity:
             compress_trace(prefix + [bad], specs, config)
         with pytest.raises(error):
             slice_compress(prefix + [bad], specs, config)
+
+
+# --- no-spec raw path ---------------------------------------------------------
+
+@st.composite
+def raw_instances(draw):
+    """A CONFIG_GRID config with a slice budget from one raw element to
+    96 bytes and a four-address trace, in dest mode with sources that are
+    sometimes None."""
+    base = draw(st.sampled_from(CONFIG_GRID))
+    config = EngineConfig(
+        mode=base.mode,
+        addr_width=base.addr_width,
+        slice_size_bytes=draw(st.integers(base.raw_element_bytes, 96)),
+    )
+    lo = config.min_code_addr
+    addr = st.sampled_from([lo, lo + 0x10, lo + 0x100, config.counter_tag - 1])
+    src = addr if config.mode is Mode.PAIR else st.one_of(st.none(), addr)
+    return draw(st.lists(st.builds(Transfer, src, addr), max_size=150)), config
+
+
+SHAPES = [list, tuple, iter]
+
+
+def state(eng):
+    """An engine's pending log, read without finalizing it."""
+    return eng.snapshot(), eng.size_bytes
+
+
+@given(raw_instances(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_no_spec_engine_equals_oracle(inst, data):
+    trace, config = inst
+    limit = config.slice_size_bytes
+    want = oracle_slice_compress(trace, (), config)
+    k = data.draw(st.integers(0, len(trace)))
+    shape = data.draw(st.sampled_from(SHAPES))
+    for parts in ([trace], [trace[:k], trace[k:]]):
+        eng = Engine((), config)
+        logs = [log for part in parts for log in eng.feed(shape(part), limit)]
+        assert eng.snapshot() == want[-1].elements
+        assert eng.size_bytes == want[-1].size_bytes
+        logs.append(eng.finalize())
+        assert len(logs) == len(want)
+        for got, expected in zip(logs, want):
+            assert_same_log(got, expected, config)
+    whole = oracle_compress(trace, (), config)
+    stepped = Engine((), config)
+    for t in trace[:k]:
+        stepped.step(t)
+    stepped.feed(shape(trace[k:]))
+    assert stepped.snapshot() == whole.elements
+    assert stepped.size_bytes == whole.size_bytes
+    assert_same_log(stepped.finalize(), whole, config)
+    assert_same_log(compress_trace(shape(trace), (), config), whole, config)
+    assert_same_log(encode_raw(shape(trace), config), whole, config)
+
+
+def bad_transfers(config):
+    """One transfer of each ``TestErrorParity.BAD`` kind under ``config``,
+    with the error the engine raises for it."""
+    ok, low, high = config.min_code_addr, config.min_code_addr - 1, config.counter_tag
+    if config.mode is Mode.DEST:
+        return [(Transfer(ok, low), AddressOutOfRange), (Transfer(None, high), AddressOutOfRange)]
+    return [
+        (Transfer(low, ok), AddressOutOfRange),
+        (Transfer(ok, high), AddressOutOfRange),
+        (Transfer(None, ok), ModeMismatch),
+        (RawDest(ok), ModeMismatch),
+        ((ok, ok, ok), ModeMismatch),
+    ]
+
+
+@given(raw_instances(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_no_spec_engine_raises_as_stepping(inst, data):
+    trace, config = inst
+    bad, error = data.draw(st.sampled_from(bad_transfers(config)))
+    i = data.draw(st.integers(0, len(trace)))
+    shape = data.draw(st.sampled_from(SHAPES))
+    bad_trace = trace[:i] + [bad] + trace[i:]
+    stepped = Engine((), config)
+    with pytest.raises(error):
+        for t in bad_trace:
+            stepped.step(t)
+    assert stepped.snapshot() == oracle_compress(trace[:i], (), config).elements
+    fed = Engine((), config)
+    for _ in range(2):  # a rejected transfer is never remembered as checked
+        with pytest.raises(error):
+            fed.feed(shape(bad_trace))
+        assert state(fed) == state(stepped)
+        fed.finalize()
+    limit = config.slice_size_bytes
+    sliced, want = Engine((), config), Engine((), config)
+    want.feed(trace[:i], limit)
+    if want.size_bytes + config.raw_element_bytes > limit:
+        want.finalize()  # the slice is cut before the bad transfer is read
+    with pytest.raises(error):
+        sliced.feed(shape(bad_trace), limit)
+    assert state(sliced) == state(want)
+    with pytest.raises(error):
+        slice_compress(shape(bad_trace), (), config)
 
 
 # --- loop-body replay ---------------------------------------------------------

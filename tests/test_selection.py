@@ -18,8 +18,10 @@ from cfaudit.fixtures import (
     sensor_profile,
     static_demo_cfg,
 )
+from cfaudit.engine import compress_trace
 from cfaudit.model import (
     EngineConfig,
+    Log,
     Mode,
     RawDest,
     RawPair,
@@ -160,6 +162,8 @@ class TestMiningParity:
         logs, len_range, mode = case
         got = enumerate_candidates(logs, len_range, mode=mode)
         assert got == _reference_enumerate(logs, len_range, mode)
+        copies = [Log(log.elements, log.size_bytes) for log in logs]  # element logs
+        assert enumerate_candidates(copies, len_range, mode=mode) == got
         entry_type = Transfer if mode is Mode.PAIR else int
         assert all(type(e) is entry_type for c in got for e in c.entries)
 
@@ -188,6 +192,41 @@ class TestMiningParity:
             log = make_log([raw, Symbol(1)], config)
             with pytest.raises(ValueError, match="must be raw"):
                 enumerate_candidates([log], (1, 2), mode=config.mode)
+
+    @pytest.mark.parametrize("config", [PAIR16, DEST16])
+    def test_word_logs_raise_as_element_logs(self, config):
+        # a log the engine made is keyed on its words; it gives what the
+        # same elements give in a hand-built log, errors included
+        trace = [Transfer(0x0400, 0x0500), Transfer(0x0500, 0x0400)] * 3
+        keys = trace if config.mode is Mode.PAIR else [t.dest for t in trace]
+        spec = SubPathSpec(1, keys[1:3])
+        other = DEST16 if config is PAIR16 else PAIR16
+        raw_first = compress_trace(trace, [spec], config)
+        symbol_first = compress_trace(trace[1:], [spec], config)
+        assert type(raw_first.elements[1]) is type(symbol_first.elements[0]) is Symbol
+        cases = [  # log, the config asked for, the outcome
+            (encode_raw(trace, config), config, "ok"),
+            (encode_raw([], config), other, "ok"),
+            (encode_raw(trace, config), other, ModeMismatch),
+            (raw_first, config, ValueError),
+            (raw_first, other, ModeMismatch),
+            (symbol_first, other, ValueError),
+        ]
+
+        def outcome(fn, log):
+            try:
+                return "ok", fn(log)
+            except (ModeMismatch, ValueError) as e:
+                return type(e), str(e)
+
+        for log, asked, want in cases:
+            probe = SubPathSpec(1, (Transfer(0x0400, 0x0500),)
+                                if asked.mode is Mode.PAIR else (0x0400,))
+            for fn in (lambda x: enumerate_candidates([x], (1, 2), mode=asked.mode),
+                       lambda x: estimate_savings(probe, [x], asked)):
+                got = outcome(fn, log)
+                assert got == outcome(fn, Log(log.elements, log.size_bytes))
+                assert got[0] == want
 
 
 def cand(letters, count):
