@@ -142,26 +142,28 @@ class Log:
     __slots__ = ("_elements", "size_bytes", "words", "config")
 
     def __init__(self, elements: tuple[LogElement, ...], size_bytes: int):
-        self._fill(elements, size_bytes, None, None)
+        _set_elements(self, elements)
+        _set_size_bytes(self, size_bytes)
+        _set_words(self, None)
+        _set_config(self, None)
 
     @classmethod
     def from_words(cls, words: tuple[int, ...], config: EngineConfig) -> Log:
         """The log whose memory image under ``config`` is ``words``, which
         must be well formed: its elements are decoded on first read."""
         log = cls.__new__(cls)
-        log._fill(None, len(words) * config.word_bytes, words, config)
+        _set_elements(log, None)
+        _set_size_bytes(log, len(words) * config.word_bytes)
+        _set_words(log, words)
+        _set_config(log, config)
         return log
-
-    def _fill(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
 
     @property
     def elements(self) -> tuple[LogElement, ...]:
         elements = self._elements
         if elements is None:
             elements = decode_image(self.words, self.config)
-            object.__setattr__(self, "_elements", elements)
+            _set_elements(self, elements)
         return elements
 
     def __setattr__(self, name: str, value) -> None:
@@ -187,6 +189,12 @@ class Log:
 
     def is_raw(self) -> bool:
         return all(isinstance(e, (RawPair, RawDest)) for e in self.elements)
+
+
+# the slot descriptors' setters, which bypass Log's raising __setattr__
+_set_elements, _set_size_bytes, _set_words, _set_config = (
+    getattr(Log, name).__set__ for name in Log.__slots__
+)
 
 
 def _count(elements: list, count: int) -> RepeatCount:

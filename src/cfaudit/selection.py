@@ -10,8 +10,11 @@ selected path; for static selection it means no shared transfer pair.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import chain
+from functools import reduce
+from heapq import heapify, heappop
+from itertools import chain, count
 from typing import Iterable, Sequence
 
 from .cfg import (
@@ -50,9 +53,27 @@ class Candidate:
         return len(self.entries)
 
 
-def _raw_keys(log: Log, mode: Mode) -> Sequence:
+# the last log keyed, its mode and its keys: a select keys one prior for
+# mining and again for each chosen spec's estimate
+_keys_memo: tuple = (None, None, None)
+
+
+def _raw_keys(log: Log, mode: Mode) -> tuple:
     """The transfer keys of a raw log of ``mode``: ``(src, dest)`` pairs in
-    pair mode, destinations in dest mode.  A log that carries words of this
+    pair mode, destinations in dest mode.  Logs are immutable, so the last
+    log keyed (by identity) and mode are remembered with their keys; an
+    error is raised afresh each time."""
+    global _keys_memo
+    last, last_mode, keys = _keys_memo
+    if last is log and last_mode is mode:
+        return keys
+    keys = _build_raw_keys(log, mode)
+    _keys_memo = (log, mode, keys)
+    return keys
+
+
+def _build_raw_keys(log: Log, mode: Mode) -> tuple:
+    """``_raw_keys`` without the memo.  A log that carries words of this
     mode, each an address word, is keyed on its words.  Any other log is
     scanned element by element: another mode's raw elements raise
     ``ModeMismatch``, compressed ones ``ValueError``."""
@@ -65,7 +86,7 @@ def _raw_keys(log: Log, mode: Mode) -> Sequence:
         if not pair:
             return words
         it = iter(words)
-        return [*zip(it, it)]
+        return tuple(zip(it, it))
     raw = RawPair if pair else RawDest
     for e in log.elements:
         if type(e) is not raw:
@@ -73,7 +94,7 @@ def _raw_keys(log: Log, mode: Mode) -> Sequence:
                 other = "pair" if mode is Mode.DEST else "dest"
                 raise ModeMismatch(f"{other} elements in {mode.value}-mode input")
             raise ValueError("input must be raw (expanded) logs")
-    return log.elements if pair else [e.dest for e in log.elements]
+    return log.elements if pair else tuple(e.dest for e in log.elements)
 
 
 def enumerate_candidates(
@@ -85,64 +106,106 @@ def enumerate_candidates(
     """Every distinct contiguous window with length in ``len_range``,
     counted greedily left-to-right without overlap, summed over logs.
 
-    Windows are hash-consed into a trie of node ids: each distinct key is
-    interned to a small int, and each start's ``lo``-long window is
-    interned as a root node.  A longer window's node is its one-shorter
-    prefix's node extended by its last key id, one int lookup in
-    ``child``.  A node fixes its window's length, so one greedy
-    ``next_free`` per node counts per (length, window).  Positions run on
-    from log to log, so an occurrence in one log never blocks one in the
-    next."""
+    Each distinct key is interned to a small int, and each start's window
+    of up to ``hi`` key ids (shorter only at a log's tail, down to ``lo``)
+    to a window id; the windows are counted once.  The windows are
+    hash-consed into a trie of node ids, one node per distinct window
+    prefix of ``lo`` keys or more, and each distinct window's path is
+    walked once.  A node carries the lengths of its proper borders
+    (prefixes that are also suffixes): a child's are its parent's borders
+    ``b`` with ``w[b] == x``, each one longer, plus 1 if ``x == w[0]``.
+    A node with no border cannot overlap itself, so its greedy count is
+    its occurrence count, the sum of its windows' counts.  Only bordered
+    nodes take the greedy ``next_free`` pass over the starts in order,
+    each start visiting the bordered nodes on its window's path.
+    Positions run on from log to log, so an occurrence in one log never
+    blocks one in the next.  Keys come from ``_raw_keys``, which remembers
+    the last log keyed, so ``estimate_savings`` on a one-log prior just
+    mined does not key it again."""
     lo, hi = len_range
     if lo < 1 or hi < lo:
         raise ValueError(f"bad len_range {len_range}: need 1 <= lo <= hi")
     pair = mode is Mode.PAIR
     keyed = [_raw_keys(log, mode) for log in logs]
-    # a RawPair key hashes and compares as its tuple
-    key_ids = {k: i for i, k in enumerate(dict.fromkeys(chain.from_iterable(keyed)))}
-    seqs = [[*map(key_ids.__getitem__, keys)] for keys in keyed]
+    # ids follow key order, so id tuples order as their entries; a RawPair
+    # key hashes and compares as its tuple
+    key_ids = {k: i for i, k in enumerate(sorted(set(chain.from_iterable(keyed))))}
     objs = [Transfer(*k) for k in key_ids] if pair else list(key_ids)
+    window_ids = defaultdict(count().__next__)  # up to hi key ids -> window id
+    intern = window_ids.__getitem__
+    starts = []  # per log: its window ids, one per start
+    for keys in keyed:
+        ids = [*map(key_ids.__getitem__, keys)]
+        n = len(ids)
+        full = max(0, n - hi + 1)  # starts with a whole hi-long window
+        wids = [*map(intern, zip(*(ids[k:] for k in range(hi))))] if full else []
+        wids += map(intern, (tuple(ids[i:]) for i in range(full, n - lo + 1)))
+        starts.append(wids)
+    multiplicity = Counter(chain.from_iterable(starts))
+
     radix = len(objs) or 1
     roots: dict[tuple, int] = {}  # lo key ids -> node
     child: dict[int, int] = {}  # node * radix + key id -> node
     find = child.get
     entries: list[tuple] = []  # per node
-    count: list[int] = []
-    next_free: list[int] = []
-    start = 0  # position of the current log's first key across all logs
-    for ids in seqs:
-        n = len(ids)
-        for i, window in enumerate(zip(*(ids[k:] for k in range(lo)))):
-            node = roots.get(window)
-            if node is None:
-                node = roots[window] = len(entries)
-                entries.append(tuple(map(objs.__getitem__, window)))
-                count.append(0)
-                next_free.append(0)
-            at = start + i
-            # greedy: an occurrence counts only if it starts at or after
-            # the end of the previously counted one
-            if next_free[node] <= at:
-                count[node] += 1
-                next_free[node] = at + lo
-            for j in range(i + lo, min(i + hi, n)):
-                edge = node * radix + ids[j]
-                node_next = find(edge)
-                if node_next is None:
-                    node_next = child[edge] = len(entries)
-                    entries.append(entries[node] + (objs[ids[j]],))
-                    count.append(0)
-                    next_free.append(0)
-                node = node_next
-                if next_free[node] <= at:
-                    count[node] += 1
-                    next_free[node] = start + j + 1
-        start += n
-    # every node was counted at its first occurrence
-    return sorted(
-        (Candidate(e, c) for e, c in zip(entries, count)),
-        key=lambda c: (len(c.entries), c.entries),
-    )
+    values: list[int] = []  # per node: its key ids read as a base-radix number
+    borders: list[list[int]] = []  # per node: its proper border lengths
+    counts: list[int] = []
+    bordered: list[tuple] = []  # per window id: (node, length) on its path
+    for w in window_ids:
+        m = multiplicity[len(bordered)]
+        head = w[:lo]
+        node = roots.get(head)
+        if node is None:
+            node = roots[head] = len(entries)
+            entries.append(tuple(map(objs.__getitem__, head)))
+            values.append(reduce(lambda v, x: v * radix + x, head, 0))
+            borders.append([b for b in range(1, lo) if head[:b] == head[lo - b:]])
+            counts.append(0)
+        path = []
+        if borders[node]:
+            path.append((node, lo))
+        else:
+            counts[node] += m
+        for j in range(lo, len(w)):
+            x = w[j]
+            edge = node * radix + x
+            node_next = find(edge)
+            if node_next is None:
+                node_next = child[edge] = len(entries)
+                entries.append(entries[node] + (objs[x],))
+                values.append(values[node] * radix + x)
+                up = borders[node]
+                up = [b + 1 for b in up if w[b] == x] if up else []
+                if x == w[0]:
+                    up.append(1)
+                borders.append(up)
+                counts.append(0)
+            node = node_next
+            if borders[node]:
+                path.append((node, j + 1))
+            else:
+                counts[node] += m
+        bordered.append(tuple(path))
+
+    if any(bordered):
+        next_free = [0] * len(entries)
+        start = 0  # position of the current log's first key across all logs
+        for keys, wids in zip(keyed, starts):
+            for at, wid in enumerate(wids, start):
+                for node, length in bordered[wid]:
+                    # greedy: an occurrence counts only if it starts at or
+                    # after the end of the previously counted one
+                    if next_free[node] <= at:
+                        counts[node] += 1
+                        next_free[node] = at + length
+            start += len(keys)
+    # by length, then entries: within one length, entries order as values,
+    # and every value is below radix**hi
+    top = radix**hi
+    rank = [len(e) * top + v for e, v in zip(entries, values)]
+    order = sorted(range(len(rank)), key=rank.__getitem__)
+    return [Candidate(entries[i], counts[i]) for i in order]
 
 
 def _is_nested(a: tuple, b: tuple) -> bool:
@@ -162,14 +225,18 @@ def _to_specs(selected: Sequence[Candidate]) -> list[SubPathSpec]:
 
 def policy_top(candidates: Iterable[Candidate], n_paths: int) -> list[SubPathSpec]:
     """Highest-count candidates, skipping any that nests with an already
-    selected one; ties break on shorter length, then entry order."""
+    selected one; ties break on shorter length, then entry order.
+
+    Candidates are popped from a heap in ``_mined_order`` (input position
+    breaks full ties, as the stable sort does) until ``n_paths`` are
+    chosen, so the pool is never sorted whole."""
+    heap = [(-c.count, c.length, c.entries, i, c) for i, c in enumerate(candidates)]
+    heapify(heap)
     selected: list[Candidate] = []
-    for c in _mined_order(candidates):
-        if len(selected) >= n_paths:
-            break
-        if any(_is_nested(c.entries, s.entries) for s in selected):
-            continue
-        selected.append(c)
+    while heap and len(selected) < n_paths:
+        c = heappop(heap)[-1]
+        if not any(_is_nested(c.entries, s.entries) for s in selected):
+            selected.append(c)
     return _to_specs(selected)
 
 

@@ -1,8 +1,12 @@
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from cfaudit.errors import AddressOutOfRange, LenOverflow
 from cfaudit.model import (
     EngineConfig,
+    Log,
     Mode,
     RawDest,
     RawPair,
@@ -96,3 +100,20 @@ def test_log_sizes():
     assert make_log(els, cfg32).size_bytes == 12
     dcfg = EngineConfig(mode=Mode.DEST)
     assert make_log([RawDest(0x0400)], dcfg).size_bytes == 2
+
+
+def test_log_fields_and_immutability():
+    cfg = EngineConfig()
+    words = (0x0400, 0x0500, 1)
+    word_log = Log.from_words(words, cfg)
+    assert (word_log.words, word_log.config, word_log.size_bytes) == (words, cfg, 6)
+    element_log = Log((RawPair(0x0400, 0x0500), Symbol(1)), 6)
+    assert element_log.words is None and element_log.config is None
+    assert word_log.elements == element_log.elements
+    assert word_log == element_log and hash(word_log) == hash(element_log)
+    for log in (word_log, element_log):
+        with pytest.raises(FrozenInstanceError):
+            log.size_bytes = 0
+        with pytest.raises(FrozenInstanceError):
+            del log.words
+        assert pickle.loads(pickle.dumps(log)) == log

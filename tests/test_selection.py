@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfaudit import selection
 from cfaudit.codec import blockmem_block_bytes, encode_raw
 from cfaudit.errors import ModeMismatch
 from cfaudit.fixtures import (
@@ -140,18 +141,31 @@ def _reference_enumerate(logs, len_range, mode):
 
 
 @st.composite
+def periodic_trace(draw, transfer):
+    """A block of 1-12 transfers repeated, with at most one changed: its
+    windows have borders as long as a sensor loop's."""
+    trace = draw(st.lists(transfer, min_size=1, max_size=12)) * draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        trace[draw(st.integers(0, len(trace) - 1))] = draw(transfer)
+    return trace
+
+
+@st.composite
 def mining_inputs(draw):
     """0-3 raw logs over a 1-4 address alphabet (so windows repeat) and a
-    length range from lo = 1 up to past the longest log."""
+    length range from lo = 1: either i.i.d. draws with hi up to past the
+    longest log, or periodic logs with hi up to 16."""
     config = draw(st.sampled_from([PAIR16, DEST16]))
     alphabet = [0x0400 + 0x10 * k for k in range(draw(st.integers(1, 4)))]
     addr = st.sampled_from(alphabet)
     transfer = st.builds(Transfer, addr, addr)
-    traces = draw(st.lists(st.lists(transfer, max_size=40), max_size=3))
+    periodic = draw(st.booleans())
+    log = periodic_trace(transfer) if periodic else st.lists(transfer, max_size=40)
+    traces = draw(st.lists(log, max_size=3))
     if config.mode is Mode.DEST:
         traces = [[Transfer(None, t.dest) for t in trace] for trace in traces]
     lo = draw(st.integers(1, 5))
-    hi = draw(st.integers(lo, 45))
+    hi = draw(st.integers(lo, 16 if periodic else 45))
     return [encode_raw(t, config) for t in traces], (lo, hi), config.mode
 
 
@@ -229,6 +243,52 @@ class TestMiningParity:
                 assert got[0] == want
 
 
+class TestKeysMemo:
+    """``_raw_keys`` remembers the last log it keyed, so a select keys its
+    prior once for mining and every chosen spec's estimate."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        logs = []
+        build = selection._build_raw_keys
+
+        def counting(log, mode):
+            logs.append(log)
+            return build(log, mode)
+
+        monkeypatch.setattr(selection, "_build_raw_keys", counting)
+        return logs
+
+    @pytest.mark.parametrize("config", [PAIR16, DEST16])
+    def test_prior_keyed_once(self, built, config):
+        trace = generate_trace(branchy_cfg(), branchy_profile())
+        if config.mode is Mode.DEST:
+            trace = [Transfer(None, t.dest) for t in trace]
+        log = encode_raw(trace, config)
+        mined = enumerate_candidates([log], BRANCHY_LEN_RANGE, mode=config.mode)
+        specs = policy_top(mined, 4)
+        savings = [estimate_savings(s, [log], config) for s in specs]
+        assert len(built) == 1 and built[0] is log
+        assert savings == [oracle_savings(s, [log], config) for s in specs]
+        # an equal log that is another object is keyed afresh
+        again = encode_raw(trace, config)
+        assert estimate_savings(specs[0], [again], config) == savings[0]
+        assert len(built) == 2 and built[1] is again
+
+    def test_other_mode_still_raises(self, built):
+        log = encode_raw([Transfer(0x0400, 0x0500), Transfer(0x0500, 0x0400)] * 2, PAIR16)
+        assert enumerate_candidates([log], (1, 2), mode=Mode.PAIR)
+        for _ in range(2):
+            with pytest.raises(ModeMismatch, match="pair elements in dest-mode"):
+                enumerate_candidates([log], (1, 2), mode=Mode.DEST)
+            with pytest.raises(ModeMismatch, match="pair elements in dest-mode"):
+                estimate_savings(SubPathSpec(1, (0x0500,)), [log], DEST16)
+        # failures are not remembered, and the pair-mode keys still are
+        assert len(built) == 5
+        estimate_savings(SubPathSpec(1, (Transfer(0x0400, 0x0500),)), [log], PAIR16)
+        assert len(built) == 5
+
+
 def cand(letters, count):
     return Candidate(tuple(addr(c) for c in letters), count)
 
@@ -272,6 +332,11 @@ class TestTop:
     def test_n_larger_than_pool(self):
         cands = [cand("AB", 2)]
         assert len(policy_top(cands, 8)) == 1
+
+    def test_repeated_candidates(self):
+        # equal sort keys fall back to input position, never to Candidate
+        pool = [cand("AB", 5), cand("CD", 5), cand("AB", 5)]
+        assert [s.entries for s in policy_top(pool, 3)] == [pool[0].entries, pool[1].entries]
 
     def test_matches_brute_force_exhaustive_small(self):
         universe = [cand("AB", 5), cand("ABC", 5), cand("BC", 4), cand("CD", 4), cand("ABCD", 6)]
