@@ -267,18 +267,7 @@ class Engine:
     def _miss(self, state: int, item) -> tuple[int, int]:
         """Check a transfer the table does not know in ``state``, then add
         its entry (or, outside the alphabet, send it to idle)."""
-        lo, hi = self._lo, self._hi
-        if self._pair:
-            try:
-                src, dest = item
-            except (TypeError, ValueError):
-                raise ModeMismatch(f"pair-mode engine fed {item!r}, not a (src, dest) pair") from None
-            if src is None:
-                raise ModeMismatch("pair-mode engine fed a transfer without source")
-            if not (lo <= src < hi and lo <= dest < hi):
-                raise AddressOutOfRange(f"transfer ({src:#x}, {dest:#x}) out of range")
-        elif not lo <= item < hi:
-            raise AddressOutOfRange(f"destination {item:#x} out of range")
+        check_key(item, self._pair, self._lo, self._hi)
         if item not in self._alphabet:
             self._outside.add(item)
             return _IDLE
@@ -318,6 +307,23 @@ class Engine:
         self._buf = []
         self._state = 0
         return log
+
+
+def check_key(item, pair: bool, lo: int, hi: int) -> None:
+    """The engine's range and mode check of one transfer key: a ``(src,
+    dest)`` pair in pair mode, a destination in dest mode, every address
+    in ``[lo, hi)``."""
+    if pair:
+        try:
+            src, dest = item
+        except (TypeError, ValueError):
+            raise ModeMismatch(f"pair-mode engine fed {item!r}, not a (src, dest) pair") from None
+        if src is None:
+            raise ModeMismatch("pair-mode engine fed a transfer without source")
+        if not (lo <= src < hi and lo <= dest < hi):
+            raise AddressOutOfRange(f"transfer ({src:#x}, {dest:#x}) out of range")
+    elif not lo <= item < hi:
+        raise AddressOutOfRange(f"destination {item:#x} out of range")
 
 
 def compress_trace(

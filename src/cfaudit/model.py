@@ -137,9 +137,10 @@ class Log:
     ``config``, and decodes ``elements`` from them on first read; a log
     built from elements has ``words`` and ``config`` None.  Either way a
     log is immutable, and equality, hash and repr are those of
-    ``(elements, size_bytes)``."""
+    ``(elements, size_bytes)``.  A log takes weak references, so what is
+    remembered about one can be dropped with it."""
 
-    __slots__ = ("_elements", "size_bytes", "words", "config")
+    __slots__ = ("_elements", "size_bytes", "words", "config", "__weakref__")
 
     def __init__(self, elements: tuple[LogElement, ...], size_bytes: int):
         _set_elements(self, elements)
@@ -193,7 +194,7 @@ class Log:
 
 # the slot descriptors' setters, which bypass Log's raising __setattr__
 _set_elements, _set_size_bytes, _set_words, _set_config = (
-    getattr(Log, name).__set__ for name in Log.__slots__
+    getattr(Log, name).__set__ for name in ("_elements", "size_bytes", "words", "config")
 )
 
 

@@ -2,14 +2,18 @@
 log-driven policies (top / minimize / select), static CFG ranking, and
 per-spec savings estimation.
 
-Occurrence counting is greedy left-to-right and non-overlapping, which is
-exactly what the run-time engine can replace.  "Non-overlapping" for the
+Mining counts occurrences greedily left-to-right without overlap.  That
+bounds what the run-time engine replaces but is not the same count: a
+monitor-phase mismatch consumes its transfer, so over ``A A A B`` the spec
+``(A, A, B)`` counts once and the engine replaces nothing.
+``estimate_savings`` follows the engine's rule.  "Non-overlapping" for the
 top policy means no selected path is a contiguous subsequence of another
 selected path; for static selection it means no shared transfer pair.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import reduce
@@ -26,9 +30,10 @@ from .cfg import (
     segment_cfg,
 )
 from .codec import blockmem_block_bytes
-from .engine import compress_trace
-from .errors import ModeMismatch
+from .engine import check_key
+from .errors import AuditError, ModeMismatch
 from .model import (
+    MAX_REPEAT_COUNT,
     EngineConfig,
     Log,
     Mode,
@@ -36,6 +41,7 @@ from .model import (
     RawPair,
     SubPathSpec,
     Transfer,
+    validate_spec_set,
 )
 from .oracle import oracle_compress  # noqa: F401  perfbench/run.py traces this name
 
@@ -53,23 +59,58 @@ class Candidate:
         return len(self.entries)
 
 
-# the last log keyed, its mode and its keys: a select keys one prior for
-# mining and again for each chosen spec's estimate
-_keys_memo: tuple = (None, None, None)
+# a select keys one prior for mining and again for each chosen spec's
+# estimate: the last log keyed (a weak reference, so the memo dies with
+# the log), its mode, its keys, and the address bounds ``(lo, hi)`` the
+# keys are known to pass the engine's key check within, or None
+_NO_KEYS = (None, None, None, None)
+_keys_memo: tuple = _NO_KEYS
+
+
+def _forget(ref: weakref.ref) -> None:
+    global _keys_memo
+    if _keys_memo[0] is ref:
+        _keys_memo = _NO_KEYS
 
 
 def _raw_keys(log: Log, mode: Mode) -> tuple:
     """The transfer keys of a raw log of ``mode``: ``(src, dest)`` pairs in
     pair mode, destinations in dest mode.  Logs are immutable, so the last
-    log keyed (by identity) and mode are remembered with their keys; an
-    error is raised afresh each time."""
+    log keyed (by identity) and mode are remembered with their keys until
+    the log is collected; an error is raised afresh each time."""
     global _keys_memo
-    last, last_mode, keys = _keys_memo
-    if last is log and last_mode is mode:
+    ref, last_mode, keys, _ = _keys_memo
+    if last_mode is mode and ref() is log:
         return keys
     keys = _build_raw_keys(log, mode)
-    _keys_memo = (log, mode, keys)
+    # keys read from an engine-made log's words passed the engine's check
+    # under its config; an element log's keys are checked when asked
+    bounds = None if log.words is None else (log.config.min_code_addr, log.config.counter_tag)
+    _keys_memo = (weakref.ref(log, _forget), mode, keys, bounds)
     return keys
+
+
+def _check_keys(keys: tuple, config: EngineConfig) -> None:
+    """Raise the engine's error for the first of ``keys`` (from
+    ``_raw_keys``) that fails its range and mode check under ``config``.
+    Each distinct key is checked, and only when the memo does not already
+    hold these keys as passing within ``config``'s bounds; a pass is
+    remembered there, so a log is checked once, not once per spec."""
+    global _keys_memo
+    ref, mode, memo_keys, bounds = _keys_memo
+    lo, hi = config.min_code_addr, config.counter_tag
+    if memo_keys is keys and bounds is not None and lo <= bounds[0] and bounds[1] <= hi:
+        return
+    pair = config.mode is Mode.PAIR
+    try:
+        for key in set(keys):
+            check_key(key, pair, lo, hi)
+    except (AuditError, TypeError):
+        for key in keys:  # raises at the first failing key, as the engine does
+            check_key(key, pair, lo, hi)
+        raise
+    if memo_keys is keys:
+        _keys_memo = (ref, mode, keys, (lo, hi))
 
 
 def _build_raw_keys(log: Log, mode: Mode) -> tuple:
@@ -417,11 +458,66 @@ def estimate_savings(
     spec: SubPathSpec, logs: Iterable[Log], config: EngineConfig
 ) -> int:
     """Net bytes saved by installing just this spec over the given raw
-    logs, minus its block-memory cost; negative when it never pays off."""
+    logs, minus its block-memory cost; negative when it never pays off.
+
+    This is the sum over the logs of ``log.size_bytes`` less the size of
+    ``compress_trace`` of its keys with this one spec, found without the
+    engine: with one spec and no slice limit its wins follow a jump scan
+    over each log's keys.  From ``pos`` the scan jumps to the next
+    occurrence of the first entry, ``i = keys.index(first, pos)``.  A whole
+    copy of the entries there is a win, and the scan goes on after it.
+    Otherwise the first mismatching key ``i + k`` ends the attempt: the
+    monitor-phase mismatch consumes it, so the scan goes on at ``i + k +
+    1``, or at ``i + k`` under ``retry_on_mismatch``.  A copy the log's end
+    cuts off is no win.  Wins back to back form a run, which the engine
+    coalesces into ``[symbol, count]`` per ``MAX_REPEAT_COUNT`` wins and one
+    or two words for the rest; no run spans two logs.  Each log's keys pass
+    the engine's checks first, the spec set's per log and the keys' range
+    and mode once per log keyed (``_check_keys``), with its errors."""
+    spec_set = (spec,)
+    pair = config.mode is Mode.PAIR
+    retry = config.retry_on_mismatch
+    raw_bytes, word = config.raw_element_bytes, config.word_bytes
     saved = 0
     for log in logs:
-        trace = _raw_keys(log, config.mode)
-        if config.mode is Mode.DEST:
-            trace = [*map(RawDest, trace)]  # the engine reads a transfer's dest
-        saved += log.size_bytes - compress_trace(trace, [spec], config).size_bytes
+        keys = _raw_keys(log, config.mode)
+        validate_spec_set(spec_set, config)
+        _check_keys(keys, config)
+        # read only once validated: a spec of the other mode raises there
+        pattern = tuple((e.src, e.dest) for e in spec.entries) if pair else tuple(spec.entries)
+        first, length = pattern[0], len(pattern)
+        n = len(keys)
+        find = keys.index
+        pos = wins = run = words = 0
+        run_end = -1  # where the last win ended
+        while True:
+            try:
+                i = find(first, pos)
+            except ValueError:
+                break
+            end = i + length
+            if keys[i:end] == pattern:
+                wins += 1
+                if i == run_end:
+                    run += 1
+                else:
+                    words += _run_words(run)
+                    run = 1
+                pos = run_end = end
+            elif end > n and keys[i:] == pattern[: n - i]:
+                break  # cut off by the log's end
+            else:
+                k = 1
+                while keys[i + k] == pattern[k]:
+                    k += 1
+                pos = i + k if retry else i + k + 1
+        words += _run_words(run)
+        saved += log.size_bytes - (n - wins * length) * raw_bytes - words * word
     return saved - blockmem_block_bytes(spec.length, config)
+
+
+def _run_words(run: int) -> int:
+    """Words the engine writes for ``run`` back-to-back wins of one spec:
+    ``[symbol, count]`` per full group, a lone symbol for a group of one."""
+    groups, rest = divmod(run, MAX_REPEAT_COUNT)
+    return 2 * groups + (rest > 1) + (rest > 0)

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import itertools
 import random
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from cfaudit import selection
 from cfaudit.codec import blockmem_block_bytes, encode_raw
-from cfaudit.errors import ModeMismatch
+from cfaudit.errors import AddressOutOfRange, ModeMismatch
 from cfaudit.fixtures import (
     BRANCHY_LEN_RANGE,
     SENSOR_LEN_RANGE,
@@ -21,6 +22,7 @@ from cfaudit.fixtures import (
 )
 from cfaudit.engine import compress_trace
 from cfaudit.model import (
+    MAX_REPEAT_COUNT,
     EngineConfig,
     Log,
     Mode,
@@ -45,7 +47,7 @@ from cfaudit.selection import (
 )
 from cfaudit.workload import generate_trace
 
-from conftest import CONFIG_GRID, blockmem_bytes, random_specs, random_trace
+from conftest import CONFIG_GRID, address_pool, blockmem_bytes, random_specs, random_trace
 
 PAIR16 = EngineConfig()
 DEST16 = EngineConfig(mode=Mode.DEST)
@@ -288,6 +290,48 @@ class TestKeysMemo:
         estimate_savings(SubPathSpec(1, (Transfer(0x0400, 0x0500),)), [log], PAIR16)
         assert len(built) == 5
 
+    def test_memo_dies_with_log(self):
+        log = encode_raw([Transfer(0x0400, 0x0500)] * 3, PAIR16)
+        estimate_savings(SubPathSpec(1, (Transfer(0x0400, 0x0500),)), [log], PAIR16)
+        assert selection._keys_memo[2] is not None
+        del log
+        gc.collect()
+        assert selection._keys_memo[2] is None
+
+    @pytest.fixture
+    def key_checks(self, monkeypatch):
+        keys = []
+        check = selection.check_key
+
+        def counting(key, pair, lo, hi):
+            keys.append(key)
+            return check(key, pair, lo, hi)
+
+        monkeypatch.setattr(selection, "check_key", counting)
+        return keys
+
+    def test_key_check_once_per_log(self, built, key_checks):
+        trace = [Transfer(0x0400, 0x0500), Transfer(0x0500, 0x0600), Transfer(0x0600, 0x0400)] * 4
+        specs = [SubPathSpec(1, trace[:2]), SubPathSpec(2, trace[1:3]), SubPathSpec(3, trace[:1])]
+        # an engine-made log passed the engine's checks under its config
+        log = encode_raw(trace, PAIR16)
+        for spec in specs:
+            estimate_savings(spec, [log], PAIR16)
+        assert key_checks == []
+        # an element log is checked once, one call per distinct key
+        copy = Log(log.elements, log.size_bytes)
+        savings = [estimate_savings(spec, [copy], PAIR16) for spec in specs]
+        assert sorted(key_checks) == sorted(set(trace))
+        # so is a word log asked under narrower bounds than its own
+        del key_checks[:]
+        wide = encode_raw(trace, EngineConfig(addr_width=32))
+        extra = wide.size_bytes - log.size_bytes  # its raw words are twice as wide
+        assert [estimate_savings(spec, [wide], PAIR16) for spec in specs] == [
+            s + extra for s in savings
+        ]
+        assert sorted(key_checks) == sorted(set(trace))
+        assert len(built) == 3
+
 
 def cand(letters, count):
     return Candidate(tuple(addr(c) for c in letters), count)
@@ -529,6 +573,145 @@ class TestEstimateSavings:
         log = make_log([RawPair(0x0400, 0x0500), Symbol(1)], PAIR16)
         with pytest.raises(ValueError, match="must be raw"):
             estimate_savings(spec, [log], PAIR16)
+
+    @pytest.mark.parametrize("retry", [False, True])
+    def test_mismatch_consumes_transfer(self, retry):
+        # mining counts (A, A, B) once over A A A B, but the engine's third
+        # A mismatches the B it expects, and nothing is replaced
+        config = dataclasses.replace(DEST16, retry_on_mismatch=retry)
+        log = dest_log("AAAB")
+        spec = SubPathSpec(1, tuple(map(addr, "AAB")))
+        mined = enumerate_candidates([log], (3, 3), mode=Mode.DEST)
+        assert {c.entries: c.count for c in mined}[spec.entries] == 1
+        assert estimate_savings(spec, [log], config) == -blockmem_block_bytes(3, config)
+
+
+def engine_savings(spec, traces, config):
+    """``estimate_savings`` by its definition: one engine pass per log."""
+    saved = sum(
+        encode_raw(t, config).size_bytes - compress_trace(t, [spec], config).size_bytes
+        for t in traces
+    )
+    return saved - blockmem_block_bytes(spec.length, config)
+
+
+def engine_error(fn):
+    try:
+        fn()
+    except Exception as e:  # compared by type and message
+        return type(e), str(e)
+    return None
+
+
+class TestSavingsEngineParity:
+    """The jump scan of ``estimate_savings`` against one engine pass per log."""
+
+    @staticmethod
+    def case(config, letters, entries):
+        """Traces (one per letter string) and the spec of ``entries`` over
+        three transfers named A, B, C."""
+        sym = {c: Transfer(addr(c), addr(c, 0x0500)) for c in "ABC"}
+        if config.mode is Mode.DEST:
+            sym = {c: Transfer(None, t.dest) for c, t in sym.items()}
+        key = (lambda t: t) if config.mode is Mode.PAIR else (lambda t: t.dest)
+        traces = [[sym[c] for c in text] for text in letters]
+        return traces, SubPathSpec(1, tuple(key(sym[c]) for c in entries))
+
+    def check(self, config, traces, spec):
+        want = engine_savings(spec, traces, config)
+        logs = [encode_raw(t, config) for t in traces]
+        assert estimate_savings(spec, logs, config) == want
+        copies = [Log(log.elements, log.size_bytes) for log in logs]  # element logs
+        assert estimate_savings(spec, copies, config) == want
+        return want
+
+    @pytest.mark.parametrize("retry", [False, True])
+    @pytest.mark.parametrize("base", CONFIG_GRID, ids=lambda c: f"{c.mode.value}{c.addr_width}")
+    def test_random(self, base, retry):
+        config = dataclasses.replace(base, retry_on_mismatch=retry)
+        rng = random.Random(8 * CONFIG_GRID.index(base) + retry)
+        for _ in range(60):
+            alphabet = address_pool(config, 2, rng)
+            symbols = random_trace(rng, config, 3, alphabet)
+            if config.mode is Mode.DEST:
+                symbols = [Transfer(None, t.dest) for t in symbols]
+            entries = [rng.choice(symbols) for _ in range(rng.randint(1, 5))]
+            traces = []
+            for _ in range(rng.randint(1, 3)):
+                trace = []
+                while len(trace) < rng.randint(0, 50):
+                    if rng.random() < 0.2:  # back-to-back copies, maybe cut short
+                        copies = entries * rng.randint(1, 4)
+                        trace += copies[: rng.randint(1, len(copies))]
+                    else:
+                        trace.append(rng.choice(symbols))
+                traces.append(trace)
+            keys = entries if config.mode is Mode.PAIR else [t.dest for t in entries]
+            self.check(config, traces, SubPathSpec(1, keys))
+
+    @pytest.mark.parametrize("retry", [False, True])
+    @pytest.mark.parametrize("base", CONFIG_GRID, ids=lambda c: f"{c.mode.value}{c.addr_width}")
+    def test_pinned_walks(self, base, retry):
+        config = dataclasses.replace(base, retry_on_mismatch=retry)
+        one = blockmem_block_bytes(3, config)
+        raw, word = config.raw_element_bytes, config.word_bytes
+        # a copy cut off by the log's end is no win
+        traces, spec = self.case(config, ["ABCAB"], "ABC")
+        assert self.check(config, traces, spec) == 3 * raw - word - one
+        # two logs: no run spans them, even when a copy is split across them
+        traces, spec = self.case(config, ["ABCABC", "ABCABC"], "ABC")
+        assert self.check(config, traces, spec) == 2 * (6 * raw - 2 * word) - one
+        traces, spec = self.case(config, ["ABCABCA", "BCABC"], "ABC")
+        assert self.check(config, traces, spec) == 6 * raw - 2 * word + 3 * raw - word - one
+        # the mismatching A equals the first entry: consumed, it starts no
+        # copy; re-tested under retry, it starts the copy that wins
+        traces, spec = self.case(config, ["AAB"], "AB")
+        saved = self.check(config, traces, spec)
+        two = blockmem_block_bytes(2, config)
+        assert saved == (2 * raw - word - two if retry else -two)
+
+    @pytest.mark.parametrize("config", [PAIR16, DEST16], ids=["pair", "dest"])
+    @pytest.mark.parametrize("run", [
+        MAX_REPEAT_COUNT - 1, MAX_REPEAT_COUNT, MAX_REPEAT_COUNT + 1, 2 * MAX_REPEAT_COUNT + 1,
+    ])
+    def test_long_runs(self, config, run):
+        # a counter saturates at MAX_REPEAT_COUNT, and the next win starts
+        # a new symbol
+        traces, spec = self.case(config, ["C" + "AB" * run + "A", "B" + "AB" * 3], "AB")
+        groups, rest = divmod(run, MAX_REPEAT_COUNT)
+        words = 2 * groups + (rest > 1) + (rest > 0) + 2
+        raw = config.raw_element_bytes
+        assert self.check(config, traces, spec) == (
+            (2 * run + 6) * raw - words * config.word_bytes - blockmem_block_bytes(2, config)
+        )
+
+    @pytest.mark.parametrize("config", CONFIG_GRID, ids=lambda c: f"{c.mode.value}{c.addr_width}")
+    def test_errors_match_engine(self, config):
+        pair = config.mode is Mode.PAIR
+        raw = RawPair if pair else RawDest
+        lo, hi = config.min_code_addr, config.counter_tag
+        good = raw(lo, lo + 1) if pair else raw(lo)
+        cases = [  # elements, spec entries
+            ([good, raw(lo, hi) if pair else raw(hi)], [good]),  # out of range
+            ([good, raw(lo - 1, lo) if pair else raw(lo - 1)], [good]),
+            ([good], [raw(lo, hi) if pair else raw(hi)]),  # a spec validate_spec_set rejects
+        ]
+        if pair:  # a transfer without source, before or after one out of range
+            cases += [
+                ([good, RawPair(hi, lo)], [good]),
+                ([good], [lo]),  # a dest-mode spec in pair mode
+                ([good, RawPair(None, lo), RawPair(lo, hi)], [good]),
+                ([good, RawPair(lo, hi), RawPair(None, lo)], [good]),
+            ]
+        else:  # a pair-mode spec in dest mode
+            cases.append(([good], [Transfer(lo, lo)]))
+        for elements, entries in cases:
+            log = Log(tuple(elements), len(elements) * config.raw_element_bytes)
+            spec = SubPathSpec(1, [e if pair or type(e) is Transfer else e.dest for e in entries])
+            trace = [Transfer(*e) if pair else Transfer(None, e.dest) for e in elements]
+            want = engine_error(lambda: compress_trace(trace, [spec], config))
+            assert want is not None and want[0] in (AddressOutOfRange, ModeMismatch)
+            assert engine_error(lambda: estimate_savings(spec, [log], config)) == want
 
 
 def oracle_savings(spec, logs, config):
