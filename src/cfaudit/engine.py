@@ -42,14 +42,20 @@ previous word is the same spec's symbol or counter) has read exactly that
 spec's entries from idle, with no win before the last one.  The automaton
 is deterministic, so each further copy of the entries read from idle ends
 in the same win.  After a coalescing win, when the input is a ``list`` or
-``tuple``, the next ``len`` transfers are compared with the entries in one
-slice comparison (dest mode compares their ``dest`` projections).  While
-they match, and the log has room for the whole copy read raw (its word
-count plus the ``len - 1`` raw elements the win drops stays within the
-slice cut, so no slice would be emitted inside it), the counter is bumped
-(a saturated counter starts a new symbol) and the iterator skips the copy.
-Any other input is stepped transfer by transfer; both give the same words
-and hits.
+``tuple``, the following copies are compared with the entries by slice
+comparison (dest mode compares their ``dest`` projections), for as long as
+the log has room for the next copy read raw (its word count plus the ``len
+- 1`` raw elements the win drops stays within the slice cut, so no slice
+would be emitted inside it).  A matching copy bumps the counter, or starts
+a new symbol when it is saturated.  Bumping keeps the log's length, so
+while the counter is ``c`` or more copies short of ``MAX_REPEAT_COUNT``
+one room check covers ``c`` copies: the next ``c * len`` transfers (``c``
+is ``64 // len``, at least 1) are compared with the entries repeated ``c``
+times, built once per spec, and a match adds ``c`` to the counter.  Once a
+block fails, fewer than ``c`` copies follow, and they are compared one by
+one.  The run's wins are added to ``hits`` once and the iterator skips
+the run.  Any other input is stepped transfer by transfer; both give the
+same words and hits.
 
 An engine with no specs writes the raw memory image, the log a plain
 auditing prover sends, so it needs no table.  ``feed`` then reads a
@@ -88,6 +94,7 @@ from .model import (
 )
 
 _IDLE = (0, -1)  # the table entry of a transfer outside every spec's alphabet
+_BLOCK = 64  # transfers the replay compares at once
 _dest_of = attrgetter("dest")
 
 
@@ -110,6 +117,9 @@ class Engine:
         else:
             self._patterns = [tuple(s.entries) for s in specs]
         self._pattern_lists = [list(p) for p in self._patterns]
+        # each body repeated to at most _BLOCK transfers (one copy if longer)
+        self._blocks = [p * max(1, _BLOCK // len(p)) for p in self._patterns]
+        self._block_lists = [list(b) for b in self._blocks]
         self._alphabet = frozenset(item for p in self._patterns for item in p)
         self._outside: set = set()  # checked transfers outside the alphabet
         self._lens = [len(p) for p in self._patterns]
@@ -177,7 +187,10 @@ class Engine:
         # only a list or tuple is sliced to replay loop bodies; a pair slice
         # has the input's type, a dest projection is a list
         seq = trace if type(trace) in (list, tuple) else None
-        bodies = self._pattern_lists if not pair or type(trace) is list else self._patterns
+        if not pair or type(trace) is list:
+            bodies, blocks = self._pattern_lists, self._block_lists
+        else:
+            bodies, blocks = self._patterns, self._blocks
         it = iter(trace)
         try:
             for t in it:
@@ -214,14 +227,29 @@ class Engine:
                 if seq is None:
                     continue
                 pattern = bodies[winner]
+                block = blocks[winner]
                 n = len(pattern)
+                m = len(block)
+                c = m // n
+                top = full - c  # a counter up to this takes c more copies
                 room = cut - drop
                 start = end = len(seq) - length_hint(it)
-                while len(buf) <= room and (
-                    seq[end : end + n] if pair else [*map(_dest_of, seq[end : end + n])]
-                ) == pattern:
-                    end += n
+                bulk = True
+                while len(buf) <= room:
                     tail = buf[-1]  # this spec's symbol or counter
+                    if bulk and tag < tail <= top:
+                        if (
+                            seq[end : end + m] if pair else [*map(_dest_of, seq[end : end + m])]
+                        ) == block:
+                            end += m
+                            buf[-1] = tail + c
+                            continue
+                        bulk = False  # fewer than c copies follow
+                    if (
+                        seq[end : end + n] if pair else [*map(_dest_of, seq[end : end + n])]
+                    ) != pattern:
+                        break
+                    end += n
                     if tail == sid:
                         buf.append(first_count)
                     elif tail < full:

@@ -129,15 +129,7 @@ class EvidenceSlice:
     image_digest: bytes | None = None
 
     def body(self) -> bytes:
-        out = (
-            self.seq.to_bytes(4, "little")
-            + bytes([1 if self.is_final else 0])
-            + len(self.payload).to_bytes(4, "little")
-            + self.payload
-        )
-        if self.is_final:
-            out += self.image_digest or ZERO_DIGEST
-        return out
+        return _slice_body(self.seq, self.is_final, self.payload, self.image_digest)
 
     def encode(self) -> bytes:
         return self.body() + self.mac
@@ -182,8 +174,26 @@ def make_request(
     return replace(req, mac=_mac(key, _REQUEST_DOMAIN, req.body()))
 
 
+def _slice_body(seq: int, is_final: bool, payload: bytes, image_digest: bytes | None) -> bytes:
+    out = (
+        seq.to_bytes(4, "little")
+        + bytes([1 if is_final else 0])
+        + len(payload).to_bytes(4, "little")
+        + payload
+    )
+    if is_final:
+        out += image_digest or ZERO_DIGEST
+    return out
+
+
 def _slice_mac(key: bytes, challenge: bytes, body: bytes) -> bytes:
     return _mac(key, _SLICE_DOMAIN, challenge + body)
+
+
+def _slice_mac_state(key: bytes, challenge: bytes):
+    """An HMAC keyed and fed a session's slice prefix: a ``copy()`` of it,
+    updated with a slice body, gives that slice's ``_slice_mac``."""
+    return hmac.new(key, _SLICE_DOMAIN + challenge, hashlib.sha256)
 
 
 class Prover:
@@ -195,6 +205,7 @@ class Prover:
         self.config = config
         self.specs: tuple[SubPathSpec, ...] = tuple(specs)
         self.challenge: bytes | None = None
+        self._mac_state = None  # _slice_mac_state of the installed challenge
         self._next_seq = 0
 
     def handle_request(self, frame: bytes) -> None:
@@ -213,6 +224,7 @@ class Prover:
         if request.blockmem:
             self.specs = deserialize_blockmem(request.blockmem, self.config)
         self.challenge = request.challenge
+        self._mac_state = _slice_mac_state(self._key, request.challenge)
         self._next_seq = 0
 
     def run(
@@ -226,11 +238,11 @@ class Prover:
         slices: list[EvidenceSlice] = []
         for i, log in enumerate(logs):
             final = i == len(logs) - 1
+            seq, digest = self._next_seq, image_digest if final else None
             payload = serialize_log(log, self.config, LogFormat.MEMORY_IMAGE)
-            s = EvidenceSlice(
-                self._next_seq, final, payload, b"", image_digest if final else None
-            )
-            slices.append(replace(s, mac=_slice_mac(self._key, self.challenge, s.body())))
+            mac = self._mac_state.copy()
+            mac.update(_slice_body(seq, final, payload, digest))
+            slices.append(EvidenceSlice(seq, final, payload, mac.digest(), digest))
             self._next_seq += 1
         return slices
 
@@ -278,6 +290,7 @@ class Verifier:
         self.config = config
         self.session_specs: tuple[SubPathSpec, ...] = ()
         self.challenge: bytes | None = None
+        self._mac_state = None  # _slice_mac_state of the session's challenge
         self._expected_seq = 0
         self._payloads: list[bytes] = []
         self._final_seen = False
@@ -297,6 +310,7 @@ class Verifier:
         if specs:  # an empty blockmem keeps the installed specs, as on the prover
             self.session_specs = specs
         self.challenge = challenge
+        self._mac_state = _slice_mac_state(self._key, challenge)
         self._expected_seq = 0
         self._payloads = []
         self._final_seen = False
@@ -321,8 +335,9 @@ class Verifier:
         if s.seq != self._expected_seq:
             self.rejections.append((s.seq, "bad_seq"))
             return "bad_seq"
-        expected = _slice_mac(self._key, self.challenge, frame[:-MAC_BYTES])
-        if not hmac.compare_digest(expected, s.mac):
+        mac = self._mac_state.copy()
+        mac.update(frame[:-MAC_BYTES])
+        if not hmac.compare_digest(mac.digest(), s.mac):
             self.rejections.append((s.seq, "bad_mac"))
             return "bad_mac"
         self._payloads.append(s.payload)

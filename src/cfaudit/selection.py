@@ -59,35 +59,42 @@ class Candidate:
         return len(self.entries)
 
 
-# a select keys one prior for mining and again for each chosen spec's
-# estimate: the last log keyed (a weak reference, so the memo dies with
-# the log), its mode, its keys, and the address bounds ``(lo, hi)`` the
-# keys are known to pass the engine's key check within, or None
+# a select keys each prior for mining and again for each chosen spec's
+# estimate.  Every live log keyed has an entry, by its ``id`` (hashing a
+# log decodes its elements): a weak reference to it, whose callback drops
+# the entry, its mode, its keys, and the address bounds ``(lo, hi)`` the
+# keys are known to pass the engine's key check within, or None.
+# ``_keys_memo`` is the entry last read, which ``_check_keys`` updates.
 _NO_KEYS = (None, None, None, None)
 _keys_memo: tuple = _NO_KEYS
+_keyed: dict[int, tuple] = {}
 
 
-def _forget(ref: weakref.ref) -> None:
+def _forget(ref: weakref.ref, ident: int) -> None:
     global _keys_memo
+    if _keyed.get(ident, _NO_KEYS)[0] is ref:
+        del _keyed[ident]
     if _keys_memo[0] is ref:
         _keys_memo = _NO_KEYS
 
 
 def _raw_keys(log: Log, mode: Mode) -> tuple:
     """The transfer keys of a raw log of ``mode``: ``(src, dest)`` pairs in
-    pair mode, destinations in dest mode.  Logs are immutable, so the last
-    log keyed (by identity) and mode are remembered with their keys until
-    the log is collected; an error is raised afresh each time."""
+    pair mode, destinations in dest mode.  Logs are immutable, so each log
+    keyed (by identity) is remembered with its mode and keys until it is
+    collected; an error is raised afresh each time."""
     global _keys_memo
-    ref, last_mode, keys, _ = _keys_memo
-    if last_mode is mode and ref() is log:
-        return keys
-    keys = _build_raw_keys(log, mode)
-    # keys read from an engine-made log's words passed the engine's check
-    # under its config; an element log's keys are checked when asked
-    bounds = None if log.words is None else (log.config.min_code_addr, log.config.counter_tag)
-    _keys_memo = (weakref.ref(log, _forget), mode, keys, bounds)
-    return keys
+    ident = id(log)
+    entry = _keyed.get(ident, _NO_KEYS)
+    if entry[1] is not mode or entry[0]() is not log:
+        keys = _build_raw_keys(log, mode)
+        # keys read from an engine-made log's words passed the engine's check
+        # under its config; an element log's keys are checked when asked
+        bounds = None if log.words is None else (log.config.min_code_addr, log.config.counter_tag)
+        ref = weakref.ref(log, lambda ref: _forget(ref, ident))
+        entry = _keyed[ident] = (ref, mode, keys, bounds)
+    _keys_memo = entry
+    return entry[2]
 
 
 def _check_keys(keys: tuple, config: EngineConfig) -> None:
@@ -110,7 +117,7 @@ def _check_keys(keys: tuple, config: EngineConfig) -> None:
             check_key(key, pair, lo, hi)
         raise
     if memo_keys is keys:
-        _keys_memo = (ref, mode, keys, (lo, hi))
+        _keyed[id(ref())] = _keys_memo = (ref, mode, keys, (lo, hi))
 
 
 def _build_raw_keys(log: Log, mode: Mode) -> tuple:
@@ -161,8 +168,8 @@ def enumerate_candidates(
     each start visiting the bordered nodes on its window's path.
     Positions run on from log to log, so an occurrence in one log never
     blocks one in the next.  Keys come from ``_raw_keys``, which remembers
-    the last log keyed, so ``estimate_savings`` on a one-log prior just
-    mined does not key it again."""
+    every live log keyed, so ``estimate_savings`` on a prior just mined
+    does not key it again."""
     lo, hi = len_range
     if lo < 1 or hi < lo:
         raise ValueError(f"bad len_range {len_range}: need 1 <= lo <= hi")
@@ -471,21 +478,21 @@ def estimate_savings(
     1``, or at ``i + k`` under ``retry_on_mismatch``.  A copy the log's end
     cuts off is no win.  Wins back to back form a run, which the engine
     coalesces into ``[symbol, count]`` per ``MAX_REPEAT_COUNT`` wins and one
-    or two words for the rest; no run spans two logs.  Each log's keys pass
-    the engine's checks first, the spec set's per log and the keys' range
-    and mode once per log keyed (``_check_keys``), with its errors."""
-    spec_set = (spec,)
+    or two words for the rest; no run spans two logs.  The spec set passes
+    the engine's checks first, even with no logs, then each log's keys
+    pass the range and mode check once per log keyed (``_check_keys``),
+    with the engine's errors."""
+    validate_spec_set((spec,), config)
     pair = config.mode is Mode.PAIR
     retry = config.retry_on_mismatch
     raw_bytes, word = config.raw_element_bytes, config.word_bytes
+    # read only once validated: a spec of the other mode raises there
+    pattern = tuple((e.src, e.dest) for e in spec.entries) if pair else tuple(spec.entries)
+    first, length = pattern[0], len(pattern)
     saved = 0
     for log in logs:
         keys = _raw_keys(log, config.mode)
-        validate_spec_set(spec_set, config)
         _check_keys(keys, config)
-        # read only once validated: a spec of the other mode raises there
-        pattern = tuple((e.src, e.dest) for e in spec.entries) if pair else tuple(spec.entries)
-        first, length = pattern[0], len(pattern)
         n = len(keys)
         find = keys.index
         pos = wins = run = words = 0

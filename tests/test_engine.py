@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -889,3 +891,108 @@ class TestReplay:
         assert compressed.elements[1:3] == (Symbol(1), RepeatCount(50))
         want = prior.size_bytes - compressed.size_bytes - blockmem_block_bytes(3, dest16)
         assert estimate_savings(spec, [prior], dest16) == want
+
+    # --- runs replayed in blocks of about 64 transfers ----------------------
+
+    @staticmethod
+    def body_of(config, n):
+        """A spec body of ``n`` distinct transfers, and a transfer outside it."""
+        lo, hi = config.min_code_addr, config.counter_tag
+        if config.mode is Mode.PAIR:
+            return [Transfer(lo + 2 * i, lo + 2 * i + 1) for i in range(n)], Transfer(hi - 2, hi - 1)
+        return [Transfer(None, lo + i) for i in range(n)], Transfer(None, hi - 1)
+
+    @staticmethod
+    def oracle_hits(logs):
+        """Wins per spec id read off oracle logs: a symbol is one, a count
+        ``k`` after it ``k - 1`` more."""
+        hits = {}
+        for log in logs:
+            last = None
+            for e in log.elements:
+                if type(e) is Symbol:
+                    hits[e.id] = hits.get(e.id, 0) + 1
+                    last = e.id
+                elif type(e) is RepeatCount:
+                    hits[last] += e.count - 1
+        return hits
+
+    def check_replay(self, feeds, specs, config, sliced):
+        """Feed each of ``feeds`` as a list, a tuple and a generator (which
+        steps); each gives the oracle's logs and wins."""
+        trace = [t for feed in feeds for t in feed]
+        limit = config.slice_size_bytes if sliced else None
+        want = oracle_slice_compress(trace, specs, config) if sliced else [
+            oracle_compress(trace, specs, config)]
+        hits = {s.id: 0 for s in specs}
+        hits.update(self.oracle_hits(want))
+        for shape in (list, tuple, lambda feed: (t for t in feed)):
+            eng = Engine(specs, config)
+            ours = [log for feed in feeds for log in eng.feed(shape(feed), limit)]
+            ours.append(eng.finalize())
+            assert len(ours) == len(want)
+            for got, expected in zip(ours, want):
+                assert_same_log(got, expected, config)
+            assert eng.hits == hits
+
+    @pytest.mark.parametrize("config", CONFIG_GRID, ids=lambda c: f"{c.mode.value}{c.addr_width}")
+    @pytest.mark.parametrize("n", [1, 10, 32, 65, 70])
+    def test_block_run_lengths(self, config, n):
+        # the first copy is a win, the second coalesces; then a run of r
+        # copies is replayed, r around one and two blocks of c copies
+        body, other = self.body_of(config, n)
+        specs = [SubPathSpec(1, [t if config.mode is Mode.PAIR else t.dest for t in body])]
+        c = max(1, 64 // n)
+        for r in (c - 1, c, c + 1, 2 * c + 1):
+            run = [other] + body * (2 + r)
+            ends = [[]]  # the input ends with the run
+            ends += [body[:k] for k in {1, n // 2, n - 1} if 0 < k < n]  # in a partial copy
+            ends += [body[:k] + [other] + body * 3 for k in {0, n - 1}]  # at a mismatch
+            for end in ends:
+                self.check_replay([run + end], specs, config, sliced=False)
+                # the same run split between two feeds, each replayed alone
+                cut = len(run) // 2
+                self.check_replay([run[:cut], run[cut:] + end], specs, config, sliced=False)
+
+    @pytest.mark.parametrize("config", CONFIG_GRID, ids=lambda c: f"{c.mode.value}{c.addr_width}")
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_block_run_from_near_saturation(self, config, n):
+        # a first feed leaves the counter at start - 1; in the second its
+        # first copy coalesces to start, and the rest of it is replayed
+        # from there: the block stops short of MAX_REPEAT_COUNT, the
+        # counter saturates copy by copy and a new symbol starts
+        body, _ = self.body_of(config, n)
+        specs = [SubPathSpec(1, [t if config.mode is Mode.PAIR else t.dest for t in body])]
+        c = 64 // n
+        starts = {MAX_REPEAT_COUNT - k for k in (0, 1, 2)}
+        starts |= {MAX_REPEAT_COUNT - c + k for k in (-1, 0, 1)}
+        for start in sorted(starts):
+            feeds = [body * (start - 1), body * (2 * c + 3)]
+            self.check_replay(feeds, specs, config, sliced=False)
+
+    @pytest.mark.parametrize("config", CONFIG_GRID, ids=lambda c: f"{c.mode.value}{c.addr_width}")
+    @pytest.mark.parametrize("n", [1, 4, 65])
+    def test_room_stops_run(self, config, n):
+        # slices of 6 raw elements, or of one copy read raw: behind up to
+        # 7 raw transfers, room stops the replay at its start, or the
+        # copies that do fit are replayed and the rest stepped
+        body, other = self.body_of(config, n)
+        specs = [SubPathSpec(1, [t if config.mode is Mode.PAIR else t.dest for t in body])]
+        c = max(1, 64 // n)
+        for size in {6, n + 1}:
+            budget = dataclasses.replace(config, slice_size_bytes=size * config.raw_element_bytes)
+            for noise in range(8):
+                trace = [other] * noise + body * (3 * c + 2)
+                self.check_replay([trace], specs, budget, sliced=True)
+
+    @pytest.mark.parametrize("config", CONFIG_GRID, ids=lambda c: f"{c.mode.value}{c.addr_width}")
+    def test_room_stops_run_at_saturation(self, config):
+        # slices of 6 raw elements: behind 0-5 raw transfers the replay
+        # starts or not, and the new symbol word after MAX_REPEAT_COUNT
+        # copies stops it behind 4 (pair mode) or 3 (dest mode)
+        body, other = self.body_of(config, 1)
+        specs = [SubPathSpec(1, [body[0] if config.mode is Mode.PAIR else body[0].dest])]
+        budget = dataclasses.replace(config, slice_size_bytes=6 * config.raw_element_bytes)
+        for noise in range(6):
+            trace = [other] * noise + body * (MAX_REPEAT_COUNT + 66)
+            self.check_replay([trace], specs, budget, sliced=True)

@@ -223,6 +223,24 @@ class TestSliceStream:
         slices = p.run(TRACE)
         assert v.verify_slice(slices[0].encode()) == "bad_mac"
 
+    def test_slice_macs_follow_the_installed_challenge(self):
+        # each slice carries the MAC of its body under the challenge
+        # installed when it was made; a forged request changes neither side
+        verifier = Verifier(KEY, CONFIG)
+        prover = Prover(KEY, CONFIG)
+        for challenge in (b"\x03" * 16, b"\x04" * 16):
+            prover.handle_request(verifier.open_session((SPEC,), challenge=challenge).encode())
+            forged = bytearray(Verifier(KEY, CONFIG).open_session((SPEC,)).encode())
+            forged[-1] ^= 1
+            with pytest.raises(AuthError):
+                prover.handle_request(bytes(forged))
+            slices = prover.run(TRACE, image_digest=bytes(range(32)))
+            assert len(slices) > 1
+            for s in slices:
+                assert s.mac == _slice_mac(KEY, challenge, s.body())
+                assert verifier.verify_slice(s.encode()) == ACCEPT
+            assert verifier.assemble().outcome is Outcome.AUTHENTIC_AND_VALID
+
     def test_malformed_frame(self):
         verifier = Verifier(KEY, CONFIG)
         verifier.open_session((SPEC,))

@@ -333,6 +333,48 @@ class TestKeysMemo:
         assert len(built) == 3
 
 
+class TestKeysMemoPerLog:
+    """``_raw_keys`` remembers every live log keyed, not just the last."""
+
+    def test_two_prior_select_keys_each_once(self, monkeypatch):
+        built = []
+        build = selection._build_raw_keys
+
+        def counting(log, mode):
+            built.append(log)
+            return build(log, mode)
+
+        monkeypatch.setattr(selection, "_build_raw_keys", counting)
+        priors = [
+            encode_raw(generate_trace(cfg(), profile()), PAIR16)
+            for cfg, profile in ((sensor_cfg, sensor_profile), (branchy_cfg, branchy_profile))
+        ]
+        mined = enumerate_candidates(priors, SENSOR_LEN_RANGE, mode=Mode.PAIR)
+        specs = policy_top(mined, 8)
+        assert len(specs) == 8
+        savings = [estimate_savings(s, priors, PAIR16) for s in specs]
+        assert [id(log) for log in built] == [id(log) for log in priors]
+        assert savings == [oracle_savings(s, priors, PAIR16) for s in specs]
+        idents = [id(log) for log in priors]
+        assert all(i in selection._keyed for i in idents)
+        del priors, built[:], mined
+        gc.collect()
+        assert not any(i in selection._keyed for i in idents)
+        assert selection._keys_memo[2] is None
+
+    def test_other_mode_rekeys_in_place(self):
+        # an empty log keys in either mode; its one entry follows the last
+        log = encode_raw([], PAIR16)
+        for config in (PAIR16, DEST16, PAIR16):
+            spec = SubPathSpec(1, (Transfer(0x0400, 0x0500),) if config is PAIR16 else (0x0500,))
+            assert estimate_savings(spec, [log], config) == -blockmem_block_bytes(1, config)
+            assert selection._keyed[id(log)][1] is config.mode
+        ident = id(log)
+        del log
+        gc.collect()
+        assert ident not in selection._keyed
+
+
 def cand(letters, count):
     return Candidate(tuple(addr(c) for c in letters), count)
 
@@ -573,6 +615,19 @@ class TestEstimateSavings:
         log = make_log([RawPair(0x0400, 0x0500), Symbol(1)], PAIR16)
         with pytest.raises(ValueError, match="must be raw"):
             estimate_savings(spec, [log], PAIR16)
+
+    @pytest.mark.parametrize("spec, config, error", [
+        (SubPathSpec(1, (0x0500,)), PAIR16, ModeMismatch),
+        (SubPathSpec(1, (Transfer(0x0400, 0x0500),)), DEST16, ModeMismatch),
+        (SubPathSpec(1, (Transfer(0x0400, 0x8000),)), PAIR16, AddressOutOfRange),
+        (SubPathSpec(1, (0x0010,)), DEST16, AddressOutOfRange),
+    ])
+    def test_spec_checked_without_logs(self, spec, config, error):
+        # the engine rejects the spec set before it reads a transfer
+        with pytest.raises(error):
+            compress_trace([], [spec], config)
+        with pytest.raises(error):
+            estimate_savings(spec, [], config)
 
     @pytest.mark.parametrize("retry", [False, True])
     def test_mismatch_consumes_transfer(self, retry):
