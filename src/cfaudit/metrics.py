@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -85,9 +85,30 @@ def report_to_json(report: MetricsReport) -> str:
     return json.dumps(asdict(report), indent=2) + "\n"
 
 
+# the JSON types each field annotation of MetricsReport admits (annotations
+# are strings here: this module imports annotations from __future__)
+_JSON_TYPES = {"str": (str,), "int": (int,), "float": (float, int),
+               "int | None": (int, type(None)), "dict[int, int]": (dict,)}
+
+
 def load_report(path: str | Path) -> MetricsReport:
-    data = json.loads(Path(path).read_text())
-    data["spec_hits"] = {int(k): v for k, v in data.get("spec_hits", {}).items()}
+    """The report in JSON file ``path``.  Raises ``ValueError`` naming the
+    file unless it holds an object with exactly the report's fields, each
+    of its JSON type (``bool`` is not an int), and spec hits that map
+    integer ids to integers."""
+    types = {f.name: _JSON_TYPES[f.type] for f in fields(MetricsReport)}
+    try:
+        data = json.loads(Path(path).read_text())
+        if type(data) is not dict or data.keys() != types.keys():
+            raise ValueError(f"expected an object with fields {', '.join(types)}")
+        for name, allowed in types.items():
+            if type(data[name]) not in allowed:
+                raise ValueError(f"field {name} is {json.dumps(data[name])}")
+        hits = data["spec_hits"] = {int(k): v for k, v in data["spec_hits"].items()}
+        if any(type(v) is not int for v in hits.values()):
+            raise ValueError("spec_hits values must be integers")
+    except (ValueError, RecursionError) as exc:  # the latter: JSON nested too deep
+        raise ValueError(f"{path}: not a metrics report: {exc}") from None
     return MetricsReport(**data)
 
 

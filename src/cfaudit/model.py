@@ -137,16 +137,18 @@ class Log:
     ``config``, and decodes ``elements`` from them on first read; a log
     built from elements has ``words`` and ``config`` None.  Either way a
     log is immutable, and equality, hash and repr are those of
-    ``(elements, size_bytes)``.  A log takes weak references, so what is
-    remembered about one can be dropped with it."""
+    ``(elements, size_bytes)``.  A raw log caches its selection keys in
+    ``_keys`` on first use (``selection._raw_keys``); a copy or a pickle
+    does not carry them."""
 
-    __slots__ = ("_elements", "size_bytes", "words", "config", "__weakref__")
+    __slots__ = ("_elements", "size_bytes", "words", "config", "_keys")
 
     def __init__(self, elements: tuple[LogElement, ...], size_bytes: int):
         _set_elements(self, elements)
         _set_size_bytes(self, size_bytes)
         _set_words(self, None)
         _set_config(self, None)
+        _set_keys(self, None)
 
     @classmethod
     def from_words(cls, words: tuple[int, ...], config: EngineConfig) -> Log:
@@ -157,6 +159,7 @@ class Log:
         _set_size_bytes(log, len(words) * config.word_bytes)
         _set_words(log, words)
         _set_config(log, config)
+        _set_keys(log, None)
         return log
 
     @property
@@ -188,13 +191,10 @@ class Log:
         # copy and pickle rebuild through __init__: attribute assignment raises
         return (Log, (self.elements, self.size_bytes))
 
-    def is_raw(self) -> bool:
-        return all(isinstance(e, (RawPair, RawDest)) for e in self.elements)
-
 
 # the slot descriptors' setters, which bypass Log's raising __setattr__
-_set_elements, _set_size_bytes, _set_words, _set_config = (
-    getattr(Log, name).__set__ for name in ("_elements", "size_bytes", "words", "config")
+_set_elements, _set_size_bytes, _set_words, _set_config, _set_keys = (
+    getattr(Log, name).__set__ for name in Log.__slots__
 )
 
 

@@ -13,7 +13,6 @@ selected path; for static selection it means no shared transfer pair.
 
 from __future__ import annotations
 
-import weakref
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import reduce
@@ -41,6 +40,7 @@ from .model import (
     RawPair,
     SubPathSpec,
     Transfer,
+    _set_keys,
     validate_spec_set,
 )
 from .oracle import oracle_compress  # noqa: F401  perfbench/run.py traces this name
@@ -59,54 +59,33 @@ class Candidate:
         return len(self.entries)
 
 
-# a select keys each prior for mining and again for each chosen spec's
-# estimate.  Every live log keyed has an entry, by its ``id`` (hashing a
-# log decodes its elements): a weak reference to it, whose callback drops
-# the entry, its mode, its keys, and the address bounds ``(lo, hi)`` the
-# keys are known to pass the engine's key check within, or None.
-# ``_keys_memo`` is the entry last read, which ``_check_keys`` updates.
-_NO_KEYS = (None, None, None, None)
-_keys_memo: tuple = _NO_KEYS
-_keyed: dict[int, tuple] = {}
-
-
-def _forget(ref: weakref.ref, ident: int) -> None:
-    global _keys_memo
-    if _keyed.get(ident, _NO_KEYS)[0] is ref:
-        del _keyed[ident]
-    if _keys_memo[0] is ref:
-        _keys_memo = _NO_KEYS
-
-
 def _raw_keys(log: Log, mode: Mode) -> tuple:
     """The transfer keys of a raw log of ``mode``: ``(src, dest)`` pairs in
-    pair mode, destinations in dest mode.  Logs are immutable, so each log
-    keyed (by identity) is remembered with its mode and keys until it is
-    collected; an error is raised afresh each time."""
-    global _keys_memo
-    ident = id(log)
-    entry = _keyed.get(ident, _NO_KEYS)
-    if entry[1] is not mode or entry[0]() is not log:
-        keys = _build_raw_keys(log, mode)
+    pair mode, destinations in dest mode.  A select keys each prior for
+    mining and again for each chosen spec's estimate, so the keys are
+    cached on the log, in its ``_keys`` slot, as ``(mode, keys, bounds)``:
+    ``bounds`` are the address bounds ``(lo, hi)`` the keys are known to
+    pass the engine's key check within, or None.  Asking in another mode
+    keys the log again; an error is raised afresh each time."""
+    cached = log._keys
+    if cached is None or cached[0] is not mode:
         # keys read from an engine-made log's words passed the engine's check
         # under its config; an element log's keys are checked when asked
         bounds = None if log.words is None else (log.config.min_code_addr, log.config.counter_tag)
-        ref = weakref.ref(log, lambda ref: _forget(ref, ident))
-        entry = _keyed[ident] = (ref, mode, keys, bounds)
-    _keys_memo = entry
-    return entry[2]
+        cached = (mode, _build_raw_keys(log, mode), bounds)
+        _set_keys(log, cached)
+    return cached[1]
 
 
-def _check_keys(keys: tuple, config: EngineConfig) -> None:
-    """Raise the engine's error for the first of ``keys`` (from
-    ``_raw_keys``) that fails its range and mode check under ``config``.
-    Each distinct key is checked, and only when the memo does not already
-    hold these keys as passing within ``config``'s bounds; a pass is
-    remembered there, so a log is checked once, not once per spec."""
-    global _keys_memo
-    ref, mode, memo_keys, bounds = _keys_memo
+def _check_keys(log: Log, config: EngineConfig) -> None:
+    """Raise the engine's error for the first of ``log``'s keys (cached by
+    ``_raw_keys`` in ``config``'s mode) that fails its range and mode check
+    under ``config``.  Each distinct key is checked, and only when the
+    cached bounds do not already lie within ``config``'s; a pass is cached
+    as the new bounds, so a log is checked once, not once per spec."""
+    mode, keys, bounds = log._keys
     lo, hi = config.min_code_addr, config.counter_tag
-    if memo_keys is keys and bounds is not None and lo <= bounds[0] and bounds[1] <= hi:
+    if bounds is not None and lo <= bounds[0] and bounds[1] <= hi:
         return
     pair = config.mode is Mode.PAIR
     try:
@@ -116,12 +95,11 @@ def _check_keys(keys: tuple, config: EngineConfig) -> None:
         for key in keys:  # raises at the first failing key, as the engine does
             check_key(key, pair, lo, hi)
         raise
-    if memo_keys is keys:
-        _keyed[id(ref())] = _keys_memo = (ref, mode, keys, (lo, hi))
+    _set_keys(log, (mode, keys, (lo, hi)))
 
 
 def _build_raw_keys(log: Log, mode: Mode) -> tuple:
-    """``_raw_keys`` without the memo.  A log that carries words of this
+    """``_raw_keys`` without the cache.  A log that carries words of this
     mode, each an address word, is keyed on its words.  Any other log is
     scanned element by element: another mode's raw elements raise
     ``ModeMismatch``, compressed ones ``ValueError``."""
@@ -167,9 +145,9 @@ def enumerate_candidates(
     nodes take the greedy ``next_free`` pass over the starts in order,
     each start visiting the bordered nodes on its window's path.
     Positions run on from log to log, so an occurrence in one log never
-    blocks one in the next.  Keys come from ``_raw_keys``, which remembers
-    every live log keyed, so ``estimate_savings`` on a prior just mined
-    does not key it again."""
+    blocks one in the next.  Keys come from ``_raw_keys``, which caches
+    them on each log, so ``estimate_savings`` on a prior just mined does
+    not key it again."""
     lo, hi = len_range
     if lo < 1 or hi < lo:
         raise ValueError(f"bad len_range {len_range}: need 1 <= lo <= hi")
@@ -492,7 +470,7 @@ def estimate_savings(
     saved = 0
     for log in logs:
         keys = _raw_keys(log, config.mode)
-        _check_keys(keys, config)
+        _check_keys(log, config)
         n = len(keys)
         find = keys.index
         pos = wins = run = words = 0

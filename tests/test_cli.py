@@ -303,3 +303,20 @@ class TestStats:
     def test_zero_reports_header_only(self, capsys):
         assert run("stats") == 0
         assert capsys.readouterr().out.strip().count("\n") == 0
+
+    # a whole document, or fields that replace a good report's
+    @pytest.mark.parametrize("doc", [
+        "{}", '{"name": 1}', "null", "[]", {"spec_hits": [1]}, {"reduction_pct": "a"},
+        "[" * 100_000,
+    ], ids=["empty", "other-field", "null", "list", "hits-list", "pct-text", "deep"])
+    def test_not_a_report_exits_1(self, workdir, tmp_path, capsys, doc):
+        good = tmp_path / "good.json"
+        run("compress", workdir / "t.trace", "-o", tmp_path / "out.bin", "--report", good)
+        bad = tmp_path / "bad.json"
+        bad.write_text(doc if isinstance(doc, str)
+                       else json.dumps({**json.loads(good.read_text()), **doc}))
+        capsys.readouterr()
+        assert run("stats", good, bad) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1

@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import gc
 import hashlib
 import itertools
+import pickle
 import random
 
 import pytest
@@ -245,8 +247,16 @@ class TestMiningParity:
                 assert got[0] == want
 
 
+def held_by_selection(obj):
+    """The objects that hold ``obj`` and are ``selection``'s globals or
+    sit in them, directly or in a container."""
+    module = vars(selection)
+    return [r for r in gc.get_referrers(obj)
+            if r is module or any(h is module for h in gc.get_referrers(r))]
+
+
 class TestKeysMemo:
-    """``_raw_keys`` remembers the last log it keyed, so a select keys its
+    """``_raw_keys`` caches a log's keys on the log, so a select keys its
     prior once for mining and every chosen spec's estimate."""
 
     @pytest.fixture
@@ -291,12 +301,19 @@ class TestKeysMemo:
         assert len(built) == 5
 
     def test_memo_dies_with_log(self):
-        log = encode_raw([Transfer(0x0400, 0x0500)] * 3, PAIR16)
-        estimate_savings(SubPathSpec(1, (Transfer(0x0400, 0x0500),)), [log], PAIR16)
-        assert selection._keys_memo[2] is not None
-        del log
-        gc.collect()
-        assert selection._keys_memo[2] is None
+        # the keys live on the log, and nothing in selection holds either
+        prior = encode_raw(generate_trace(sensor_cfg(), sensor_profile()), PAIR16)
+        mined = enumerate_candidates([prior], SENSOR_LEN_RANGE, mode=Mode.PAIR)
+        for spec in policy_top(mined, 2):
+            estimate_savings(spec, [prior], PAIR16)
+        mode, keys, bounds = prior._keys
+        assert mode is Mode.PAIR and len(keys) == len(prior.elements)
+        assert held_by_selection(prior) == []
+        assert held_by_selection(keys) == []
+        # a copy or a pickle carries no keys, and the keys leave equality alone
+        for other in (copy.copy(prior), pickle.loads(pickle.dumps(prior))):
+            assert other._keys is None
+            assert other == prior and hash(other) == hash(prior)
 
     @pytest.fixture
     def key_checks(self, monkeypatch):
@@ -334,17 +351,22 @@ class TestKeysMemo:
 
 
 class TestKeysMemoPerLog:
-    """``_raw_keys`` remembers every live log keyed, not just the last."""
+    """Each log carries its own keys, not just the last log keyed."""
 
     def test_two_prior_select_keys_each_once(self, monkeypatch):
-        built = []
-        build = selection._build_raw_keys
+        built, checked = [], []
+        build, check = selection._build_raw_keys, selection.check_key
 
         def counting(log, mode):
             built.append(log)
             return build(log, mode)
 
+        def counting_check(key, pair, lo, hi):
+            checked.append(key)
+            return check(key, pair, lo, hi)
+
         monkeypatch.setattr(selection, "_build_raw_keys", counting)
+        monkeypatch.setattr(selection, "check_key", counting_check)
         priors = [
             encode_raw(generate_trace(cfg(), profile()), PAIR16)
             for cfg, profile in ((sensor_cfg, sensor_profile), (branchy_cfg, branchy_profile))
@@ -355,24 +377,24 @@ class TestKeysMemoPerLog:
         savings = [estimate_savings(s, priors, PAIR16) for s in specs]
         assert [id(log) for log in built] == [id(log) for log in priors]
         assert savings == [oracle_savings(s, priors, PAIR16) for s in specs]
-        idents = [id(log) for log in priors]
-        assert all(i in selection._keyed for i in idents)
-        del priors, built[:], mined
-        gc.collect()
-        assert not any(i in selection._keyed for i in idents)
-        assert selection._keys_memo[2] is None
+        assert [log._keys[0] for log in priors] == [Mode.PAIR, Mode.PAIR]
+        assert checked == []  # engine-made logs passed the engine's check
+        # element copies are keyed afresh, each checked once across specs
+        copies = [Log(log.elements, log.size_bytes) for log in priors]
+        assert [estimate_savings(s, copies, PAIR16) for s in specs] == savings
+        assert [id(log) for log in built[2:]] == [id(log) for log in copies]
+        assert len(checked) == sum(len(set(log.elements)) for log in copies)
+        for log in priors + copies:
+            assert held_by_selection(log) == []
 
     def test_other_mode_rekeys_in_place(self):
-        # an empty log keys in either mode; its one entry follows the last
+        # an empty log keys in either mode; its cached keys follow the last
         log = encode_raw([], PAIR16)
         for config in (PAIR16, DEST16, PAIR16):
             spec = SubPathSpec(1, (Transfer(0x0400, 0x0500),) if config is PAIR16 else (0x0500,))
             assert estimate_savings(spec, [log], config) == -blockmem_block_bytes(1, config)
-            assert selection._keyed[id(log)][1] is config.mode
-        ident = id(log)
-        del log
-        gc.collect()
-        assert ident not in selection._keyed
+            assert log._keys[0] is config.mode
+        assert held_by_selection(log) == []
 
 
 def cand(letters, count):
