@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import MalformedCFG, ParseError, PathExplosion
+from .files import hex_value, records
 from .model import Transfer
 
 EDGE_KINDS = ("jump", "cond_true", "cond_false", "call", "return", "fallthrough")
@@ -80,11 +81,7 @@ def build_cfg(document: str) -> CFG:
     functions: list[tuple[str, str]] = []
     blocks: dict[str, Block] = {}
     edges: list[Edge] = []
-    for lineno, raw in enumerate(document.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for lineno, tokens in records(document):
         kind, args = tokens[0], tokens[1:]
         if kind == "function":
             if len(args) != 2:
@@ -98,11 +95,7 @@ def build_cfg(document: str) -> CFG:
             bid, start_s, end_s, fn = args
             if bid in blocks:
                 raise ParseError(lineno, f"duplicate block {bid}")
-            try:
-                start, end = int(start_s, 16), int(end_s, 16)
-            except ValueError:
-                raise ParseError(lineno, f"bad hex address in {line!r}") from None
-            blocks[bid] = Block(bid, start, end, fn)
+            blocks[bid] = Block(bid, hex_value(start_s, lineno), hex_value(end_s, lineno), fn)
         elif kind == "edge":
             if len(args) != 3 or args[2] not in EDGE_KINDS:
                 raise ParseError(lineno, "edge lines need <src> <dest> <kind>")
@@ -351,40 +344,35 @@ def enumerate_segment_paths(
         indeg[e.dest] += 1
     sources = sorted(b for b in segment.blocks if indeg[b] == 0)
 
+    # topological order; a block it never reaches lies on or behind a cycle
+    order = list(sources)
+    for b in order:
+        for s in succs[b]:
+            indeg[s] -= 1
+            if not indeg[s]:
+                order.append(s)
+    if len(order) != len(segment.blocks):
+        raise MalformedCFG(f"segment {segment.id} has a cycle of forward edges")
+
     # count source-to-sink paths first so explosion is caught before listing
     counts: dict[str, int] = {}
-
-    def count_from(b: str) -> int:
-        if b in counts:
-            return counts[b]
-        if not succs[b]:
-            counts[b] = 1
-        else:
-            counts[b] = sum(count_from(s) for s in succs[b])
-        return counts[b]
-
-    total = sum(count_from(s) for s in sources)
+    for b in reversed(order):
+        counts[b] = sum(counts[s] for s in succs[b]) if succs[b] else 1
+    total = sum(counts[s] for s in sources)
     if total > max_paths:
         raise PathExplosion(f"segment {segment.id} has {total} paths, cap {max_paths}")
 
+    # depth first, successors in sorted order
     paths: list[SegmentPath] = []
-
-    def walk(b: str, acc: list[str]) -> None:
-        acc.append(b)
-        if not succs[b]:
-            if len(acc) > 1:
-                transfers = tuple(
-                    Transfer(cfg.blocks[acc[i]].end, cfg.blocks[acc[i + 1]].start)
-                    for i in range(len(acc) - 1)
-                )
-                paths.append(
-                    SegmentPath(tuple(acc), transfers, cfg.blocks[acc[0]].function)
-                )
-        else:
-            for s in sorted(succs[b]):
-                walk(s, acc)
-        acc.pop()
-
-    for s in sources:
-        walk(s, [])
+    stack = [(s,) for s in reversed(sources)]
+    while stack:
+        acc = stack.pop()
+        nexts = succs[acc[-1]]
+        if nexts:
+            stack.extend(acc + (s,) for s in sorted(nexts, reverse=True))
+        elif len(acc) > 1:
+            transfers = tuple(
+                Transfer(cfg.blocks[a].end, cfg.blocks[b].start) for a, b in zip(acc, acc[1:])
+            )
+            paths.append(SegmentPath(acc, transfers, cfg.blocks[acc[0]].function))
     return paths

@@ -59,17 +59,21 @@ def _config(args, mode: Mode | None = None, width: int | None = None) -> EngineC
         addr_width=args.width or width or 16,
         slice_size_bytes=args.slice_size,
         max_sub_paths=args.max_paths,
-        retry_on_mismatch=getattr(args, "retry_on_mismatch", False),
+        retry_on_mismatch=args.retry_on_mismatch,
     )
 
 
-def _load_specs(path: str | None, config: EngineConfig):
-    if not path:
-        return ()
-    mode, specs = codec.parse_spec_document(Path(path).read_text())
+def _load_specs(args, config: EngineConfig | None = None):
+    """The run's config and the specs of the ``--specs`` file, if any.  The
+    config is ``config``, else one whose mode defaults to the spec file's;
+    a spec file that holds specs must be in the run's mode."""
+    mode, specs = None, ()
+    if args.specs:
+        mode, specs = codec.parse_spec_document(Path(args.specs).read_text())
+    config = config or _config(args, mode)
     if specs and mode is not config.mode:
         raise AuditError(f"spec file is {mode.value}-mode, run is {config.mode.value}-mode")
-    return specs
+    return config, specs
 
 
 def _write_report(args, report: metrics.MetricsReport, default_base: str) -> None:
@@ -81,8 +85,7 @@ def _write_report(args, report: metrics.MetricsReport, default_base: str) -> Non
 
 def _cmd_compress(args) -> int:
     doc_mode, doc_width, trace = files.parse_trace_document(Path(args.trace).read_text())
-    config = _config(args, doc_mode, doc_width)
-    specs = _load_specs(args.specs, config)
+    config, specs = _load_specs(args, _config(args, doc_mode, doc_width))
     log = compress_trace(trace, specs, config)
     data = codec.serialize_log(log, config, _FORMATS[args.format])
     Path(args.out).write_bytes(data)
@@ -92,14 +95,7 @@ def _cmd_compress(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    file_mode, specs = (None, ())
-    if args.specs:
-        file_mode, specs = codec.parse_spec_document(Path(args.specs).read_text())
-    config = _config(args, file_mode)
-    if file_mode is not None and specs and file_mode is not config.mode:
-        raise AuditError(
-            f"spec file is {file_mode.value}-mode, run is {config.mode.value}-mode"
-        )
+    config, specs = _load_specs(args)
     log = codec.deserialize_log(Path(args.log).read_bytes(), config, _FORMATS[args.format])
     raw = expand(log, specs, config)
     Path(args.out).write_text(
@@ -177,7 +173,7 @@ def _cmd_simulate(args) -> int:
         trace.insert(int(idx_part or 0), Transfer(int(src_s, 16), int(dest_s, 16)))
 
     if args.specs:
-        specs = _load_specs(args.specs, config)
+        _, specs = _load_specs(args, config)
     elif args.policy:
         specs = _choose_specs(args, config, [codec.encode_raw(trace, config)], graph)
     else:

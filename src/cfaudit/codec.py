@@ -35,6 +35,7 @@ from .errors import (
     ModeMismatch,
     ParseError,
 )
+from .files import address_record, header_value, records
 from .model import (
     MAX_REPEAT_COUNT,
     MAX_SYMBOL_ID,
@@ -252,18 +253,9 @@ def parse_spec_document(text: str) -> tuple[Mode, tuple[SubPathSpec, ...]]:
     specs: list[SubPathSpec] = []
     current_id: int | None = None
     entries: list = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for lineno, tokens in records(text):
         if tokens[0] == "mode":
-            if mode is not None:
-                raise ParseError(lineno, "duplicate mode line")
-            try:
-                mode = Mode(tokens[1])
-            except (IndexError, ValueError):
-                raise ParseError(lineno, f"bad mode line {line!r}") from None
+            mode = header_value(tokens, lineno, mode, Mode)
         elif tokens[0] == "spec":
             if mode is None:
                 raise ParseError(lineno, "spec before mode line")
@@ -272,7 +264,7 @@ def parse_spec_document(text: str) -> tuple[Mode, tuple[SubPathSpec, ...]]:
             try:
                 current_id = int(tokens[1], 0)
             except (IndexError, ValueError):
-                raise ParseError(lineno, f"bad spec header {line!r}") from None
+                raise ParseError(lineno, f"bad spec header {' '.join(tokens)!r}") from None
         elif tokens[0] == "end":
             if current_id is None:
                 raise ParseError(lineno, "end outside a spec block")
@@ -281,21 +273,10 @@ def parse_spec_document(text: str) -> tuple[Mode, tuple[SubPathSpec, ...]]:
             except (ValueError, LenOverflow) as exc:
                 raise ParseError(lineno, str(exc)) from None
             current_id, entries = None, []
+        elif current_id is None:
+            raise ParseError(lineno, f"unexpected line {' '.join(tokens)!r}")
         else:
-            if current_id is None:
-                raise ParseError(lineno, f"unexpected line {line!r}")
-            try:
-                vals = [int(t, 16) for t in tokens]
-            except ValueError:
-                raise ParseError(lineno, f"bad hex entry {line!r}") from None
-            if mode is Mode.PAIR:
-                if len(vals) != 2:
-                    raise ParseError(lineno, "pair-mode entries need two addresses")
-                entries.append(Transfer(vals[0], vals[1]))
-            else:
-                if len(vals) != 1:
-                    raise ParseError(lineno, "dest-mode entries need one address")
-                entries.append(vals[0])
+            entries.append(address_record(tokens, lineno, mode))
     if mode is None:
         raise ParseError(1, "missing mode line")
     if current_id is not None:

@@ -97,8 +97,9 @@ class EngineConfig:
             object.__setattr__(self, "mode", Mode(self.mode))
         if not 1 <= self.max_sub_paths <= 8:
             raise ValueError("max_sub_paths must be in 1..8")
-        if self.slice_size_bytes <= 0:
-            raise ValueError("slice_size_bytes must be positive")
+        if not 0 < self.slice_size_bytes < 1 << 32:
+            # a request carries the slice size in a 4-byte field
+            raise ValueError("slice_size_bytes must be in 1..2**32-1")
         if not MAX_SYMBOL_ID < self.min_code_addr < self.counter_tag:
             raise ValueError(
                 "min_code_addr must be above the symbol id range and below "

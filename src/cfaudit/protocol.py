@@ -9,6 +9,10 @@ channel; every frame ends with a 32-byte HMAC-SHA256 tag):
     slice   :=  seq(4) final(1) payload_len(4) payload
                 [image_digest(32) if final] mac(32)
 
+The fixed headers are declared once each, ``_REQUEST_HEADER`` and
+``_SLICE_HEADER``, and both encoding and decoding go through them.  The
+mode byte is 0 for pair mode and 1 for dest mode (``_MODES``).
+
 Request MACs cover the whole frame body as received; slice MACs
 additionally cover the session challenge, so evidence produced under one
 challenge never verifies in another session.  Slice payloads are
@@ -26,6 +30,7 @@ from __future__ import annotations
 import hmac
 import hashlib
 import secrets
+import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
@@ -70,6 +75,12 @@ ZERO_DIGEST = b"\x00" * DIGEST_BYTES
 _REQUEST_DOMAIN = b"\x01"
 _SLICE_DOMAIN = b"\x02"
 
+# challenge, mode byte, address width, slice size, blockmem length
+_REQUEST_HEADER = struct.Struct(f"<{CHALLENGE_BYTES}sBBII")
+# seq, final flag, payload length
+_SLICE_HEADER = struct.Struct("<IBI")
+_MODES = (Mode.PAIR, Mode.DEST)  # indexed by mode byte
+
 
 def _mac(key: bytes, domain: bytes, payload: bytes) -> bytes:
     return hmac.new(key, domain + payload, hashlib.sha256).digest()
@@ -89,35 +100,32 @@ class Request:
     mac: bytes
 
     def body(self) -> bytes:
-        return (
-            self.challenge
-            + bytes([0 if self.mode is Mode.PAIR else 1, self.addr_width])
-            + self.slice_size_bytes.to_bytes(4, "little")
-            + len(self.blockmem).to_bytes(4, "little")
-            + self.blockmem
+        header = _REQUEST_HEADER.pack(
+            self.challenge,
+            _MODES.index(self.mode),
+            self.addr_width,
+            self.slice_size_bytes,
+            len(self.blockmem),
         )
+        return header + self.blockmem
 
     def encode(self) -> bytes:
         return self.body() + self.mac
 
     @classmethod
     def decode(cls, frame: bytes) -> "Request":
-        if len(frame) < CHALLENGE_BYTES + 10 + MAC_BYTES:
+        start = _REQUEST_HEADER.size
+        if len(frame) < start + MAC_BYTES:
             raise MalformedFrame("request frame too short")
-        challenge = frame[:16]
-        if frame[16] not in (0, 1):
-            raise MalformedFrame(f"bad mode byte {frame[16]}")
-        mode = Mode.PAIR if frame[16] == 0 else Mode.DEST
-        width = frame[17]
+        challenge, mode, width, slice_size, blob_len = _REQUEST_HEADER.unpack_from(frame)
+        if mode >= len(_MODES):
+            raise MalformedFrame(f"bad mode byte {mode}")
         if width not in (16, 32):
             raise MalformedFrame(f"bad address width {width}")
-        slice_size = int.from_bytes(frame[18:22], "little")
-        blob_len = int.from_bytes(frame[22:26], "little")
-        if len(frame) != 26 + blob_len + MAC_BYTES:
+        end = start + blob_len
+        if len(frame) != end + MAC_BYTES:
             raise MalformedFrame("request frame length mismatch")
-        blockmem = frame[26 : 26 + blob_len]
-        mac = frame[26 + blob_len :]
-        return cls(challenge, blockmem, mode, width, slice_size, mac)
+        return cls(challenge, frame[start:end], _MODES[mode], width, slice_size, frame[end:])
 
 
 @dataclass(frozen=True)
@@ -136,21 +144,18 @@ class EvidenceSlice:
 
     @classmethod
     def decode(cls, frame: bytes) -> "EvidenceSlice":
-        if len(frame) < 9 + MAC_BYTES:
+        start = _SLICE_HEADER.size
+        if len(frame) < start + MAC_BYTES:
             raise MalformedFrame("slice frame too short")
-        seq = int.from_bytes(frame[:4], "little")
-        flag = frame[4]
+        seq, flag, payload_len = _SLICE_HEADER.unpack_from(frame)
         if flag not in (0, 1):
             raise MalformedFrame("bad final flag")
-        is_final = bool(flag)
-        payload_len = int.from_bytes(frame[5:9], "little")
-        tail = DIGEST_BYTES if is_final else 0
-        if len(frame) != 9 + payload_len + tail + MAC_BYTES:
+        end = start + payload_len
+        tail = end + DIGEST_BYTES if flag else end
+        if len(frame) != tail + MAC_BYTES:
             raise MalformedFrame("slice frame length mismatch")
-        payload = frame[9 : 9 + payload_len]
-        digest = frame[9 + payload_len : 9 + payload_len + tail] if is_final else None
-        mac = frame[9 + payload_len + tail :]
-        return cls(seq, is_final, payload, mac, digest)
+        digest = frame[end:tail] if flag else None
+        return cls(seq, bool(flag), frame[start:end], frame[tail:], digest)
 
 
 def make_request(
@@ -175,15 +180,8 @@ def make_request(
 
 
 def _slice_body(seq: int, is_final: bool, payload: bytes, image_digest: bytes | None) -> bytes:
-    out = (
-        seq.to_bytes(4, "little")
-        + bytes([1 if is_final else 0])
-        + len(payload).to_bytes(4, "little")
-        + payload
-    )
-    if is_final:
-        out += image_digest or ZERO_DIGEST
-    return out
+    body = _SLICE_HEADER.pack(seq, is_final, len(payload)) + payload
+    return body + (image_digest or ZERO_DIGEST) if is_final else body
 
 
 def _slice_mac(key: bytes, challenge: bytes, body: bytes) -> bytes:

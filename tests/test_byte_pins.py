@@ -3,8 +3,9 @@
 Round-trip and parity tests call the same serializer on both sides, so a
 change of wire format would pass them.  These digests fix the bytes
 themselves: the prover's payloads and frames for both fixtures at
-benchmark scale, the tagged form of the same slices, each fixture's block
-memory, and one seeded log and spec set per configuration.  Decoding the
+benchmark scale, the request frame that installs each fixture's specs,
+the tagged form of the same slices, each fixture's block memory, and one
+seeded log and spec set per configuration.  Decoding the
 pinned bytes must give back the same elements and size.
 """
 
@@ -29,12 +30,14 @@ FIXTURE_DIGESTS = {
         "frames": "21e21b369f8e8bd55026910fcebf63893c88f360b5032b2b1a02e1f6f4dd0c8a",
         "tagged": "919914e50f956ae201e73e329381dc19e93d777205f542ab60182d72c9287400",
         "blockmem": "a05299cd2dd84541f2080acccde8374ab4ea786214ab077c146b9d0ab16bb2c9",
+        "request": "d7ab56abdc72c6373ead2fc0211449c65288bf3d8f488d260c773fbf38b715c4",
     },
     "branchy": {
         "payloads": "53b0eceeb3cc113d7d7a41d8af8cc0a8816e3c23de4470ae58b336942d7cc8d4",
         "frames": "684784f4f1d666d8fb0705462538a329b6c3871905f858d0b9455af2d6ea5fe7",
         "tagged": "da124f8a71b157ed74a10b79f6e768a80a8d7151baf772dc78cda11af6ee9883",
         "blockmem": "150d901aa4d4a06bde1da92cb45a0321dc7c9e600ba3f31cfbc1b2f7dd141dad",
+        "request": "2b7c717e4f6267a038aaf945c98a0b4da044924897594d58f76404a551a629a1",
     },
 }
 
@@ -84,7 +87,8 @@ def test_fixture_bytes_pinned(name):
     specs, trace = fixture_inputs(name, len_range, n_specs, seed)
     verifier = Verifier(KEY, CONFIG)
     prover = Prover(KEY, CONFIG)
-    prover.handle_request(verifier.open_session(specs, CHALLENGE).encode())
+    request = verifier.open_session(specs, CHALLENGE).encode()
+    prover.handle_request(request)
     slices = prover.run(trace)
     logs = slice_compress(trace, specs, CONFIG)
     tagged = [serialize_log(x, CONFIG, LogFormat.PORTABLE_TAGGED) for x in logs]
@@ -93,6 +97,7 @@ def test_fixture_bytes_pinned(name):
         "frames": digest(s.encode() for s in slices),
         "tagged": digest(tagged),
         "blockmem": digest([serialize_blockmem(specs, CONFIG).data]),
+        "request": digest([request]),
     }
     assert got == FIXTURE_DIGESTS[name]
     for s, t, log in zip(slices, tagged, logs):

@@ -27,6 +27,28 @@ def linear_cfg(names, function="f", kind="fallthrough", extra_edges=()):
     return CFG(((function, names[0]),), blocks, tuple(edges))
 
 
+def chain_document(n=700):
+    """One function of ``n`` blocks joined by jumps: one path, ``n`` deep."""
+    lines = ["function main b0"]
+    lines += [f"block b{i} {0x400 + 4 * i:04x} {0x402 + 4 * i:04x} main" for i in range(n)]
+    lines += [f"edge b{i} b{i + 1} jump" for i in range(n - 1)]
+    return "\n".join(lines) + "\n"
+
+
+# b and c jump to each other and each is entered from a, so neither
+# dominates the other: no back edge cuts the cycle and it stays in a segment
+IRREDUCIBLE_DOCUMENT = """\
+function main a
+block a 0400 0402 main
+block b 0410 0412 main
+block c 0420 0422 main
+edge a b cond_true
+edge a c cond_false
+edge b c jump
+edge c b jump
+"""
+
+
 def brute_force_dominators(cfg, function, entry):
     """u dominates v iff removing u disconnects v from entry."""
     nodes = [b.id for b in cfg.function_blocks(function)]
@@ -267,3 +289,25 @@ class TestPaths:
         with pytest.raises(PathExplosion):
             enumerate_segment_paths(seg, cfg, max_paths=1000)
         assert len(enumerate_segment_paths(seg, cfg, max_paths=5000)) == 4096
+
+    def test_deep_chain_is_one_path(self):
+        cfg = build_cfg(chain_document())
+        (seg,) = merge_segments(segment_cfg(cfg))
+        (path,) = enumerate_segment_paths(seg, cfg)
+        assert path.blocks == tuple(f"b{i}" for i in range(700))
+        assert len(path.transfers) == 699
+
+    def test_cycle_in_segment_is_malformed(self):
+        cfg = build_cfg(IRREDUCIBLE_DOCUMENT)
+        (seg,) = merge_segments(segment_cfg(cfg))
+        with pytest.raises(MalformedCFG, match=f"segment {seg.id} "):
+            enumerate_segment_paths(seg, cfg)
+
+    def test_unreachable_cycle_is_malformed(self):
+        # no source at all: the cycle is never entered from the segment
+        cfg = linear_cfg(["a", "b"], extra_edges=[("b", "a", "jump")])
+        cfg = CFG((("f", "x"),), {**cfg.blocks, "x": Block("x", 0x0500, 0x0506, "f")},
+                  cfg.edges)
+        seg = next(s for s in merge_segments(segment_cfg(cfg)) if "a" in s.blocks)
+        with pytest.raises(MalformedCFG):
+            enumerate_segment_paths(seg, cfg)

@@ -22,6 +22,8 @@ from cfaudit.files import write_event_document
 from cfaudit.fixtures import write_fixture_files
 from cfaudit.monitor import AccessEvent
 
+from test_cfg import IRREDUCIBLE_DOCUMENT, chain_document
+
 TRACE_LINES = 120
 # fragments of the documents' own syntax, so that a mutation often
 # yields a near-miss rather than plain noise
@@ -41,6 +43,9 @@ def seeds(tmp_path_factory):
         out[f"{name}.trace"] = fx[f"{name}.trace"].read_bytes()
         out[f"{name}.cfg"] = fx[f"{name}.cfg"].read_bytes()
     out["static_demo.cfg"] = fx["static_demo.cfg"].read_bytes()
+    # deeper than the recursion limit, and a cycle no back edge cuts
+    out["chain.cfg"] = chain_document().encode()
+    out["irreducible.cfg"] = IRREDUCIBLE_DOCUMENT.encode()
     out["demo.key"] = fx["demo.key"].read_bytes()
     specs, log, report = root / "s.specs", root / "c.bin", root / "r.json"
     assert call(["select", "--policy", "top", "--trace", fx["sensor.trace"],
@@ -192,7 +197,8 @@ def test_select_mined(seeds, data, policy, trace):
 
 
 @settings(SETTINGS, max_examples=40)
-@given(data=st.data(), cfg=st.sampled_from(["static_demo.cfg", "branchy.cfg"]))
+@given(data=st.data(),
+       cfg=st.sampled_from(["static_demo.cfg", "branchy.cfg", "chain.cfg", "irreducible.cfg"]))
 def test_select_static(seeds, data, cfg):
     drive(data, seeds, ["select", "--policy", "static", "--cfg", "{cfg}",
                         "-o", "{work}/s.specs"], {"cfg": cfg})
@@ -201,10 +207,12 @@ def test_select_static(seeds, data, cfg):
 @settings(SETTINGS, max_examples=40)
 @given(data=st.data(), cfg=st.sampled_from(["sensor.cfg", "branchy.cfg"]),
        how=st.sampled_from([["--specs", "{specs}"], ["--policy", "top"], []]),
-       inject=st.text(max_size=12))
-def test_simulate(seeds, data, cfg, how, inject):
+       inject=st.text(max_size=12),
+       slice_size=st.sampled_from([256, 2**32 - 1, 2**32]) | st.integers(-1, 2**40))
+def test_simulate(seeds, data, cfg, how, inject, slice_size):
     drive(data, seeds, ["simulate", "{cfg}", "--key", "{key}", "--steps", "200",
-                        "--report", "{work}/sim.json", f"--inject={inject}"],
+                        "--report", "{work}/sim.json", f"--inject={inject}",
+                        f"--slice-size={slice_size}"],
           {"cfg": cfg, "key": "demo.key", "specs": "specs"}, how, verdict="verdict ")
 
 

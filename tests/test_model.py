@@ -16,6 +16,7 @@ from cfaudit.model import (
     check_address,
     make_log,
 )
+from cfaudit.protocol import Request, make_request
 
 
 def test_config_defaults():
@@ -36,6 +37,7 @@ def test_config_defaults():
         {"max_sub_paths": 0},
         {"max_sub_paths": 9},
         {"slice_size_bytes": 0},
+        {"slice_size_bytes": 2**32},  # does not fit the request's 4-byte field
         {"min_code_addr": 0x80},  # collides with symbol ids
         {"min_code_addr": 0x9000},  # collides with the counter tag range
     ],
@@ -43,6 +45,12 @@ def test_config_defaults():
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         EngineConfig(**kwargs)
+
+
+def test_largest_slice_size_fits_the_request():
+    config = EngineConfig(slice_size_bytes=2**32 - 1)
+    frame = make_request(bytes(32), bytes(16), (), config).encode()
+    assert Request.decode(frame).slice_size_bytes == 2**32 - 1
 
 
 def test_check_address_bounds():
