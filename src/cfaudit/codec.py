@@ -25,21 +25,14 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 from .engine import compress_trace
-from .errors import (
-    AddressOutOfRange,
-    DuplicateId,
-    EncodingOverlap,
-    LenOverflow,
-    MalformedBlockMem,
-    MalformedLog,
-    ModeMismatch,
-    ParseError,
-)
+from .errors import DuplicateId, LenOverflow, MalformedBlockMem, MalformedLog, ParseError
 from .files import address_record, header_value, records
 from .model import (
-    MAX_REPEAT_COUNT,
     MAX_SYMBOL_ID,
-    MIN_REPEAT_COUNT,
+    TAG_RAW_DEST,
+    TAG_RAW_PAIR,
+    TAG_REPEAT,
+    TAG_SYMBOL,
     BlockMemImage,
     EngineConfig,
     Log,
@@ -47,19 +40,15 @@ from .model import (
     Mode,
     RawDest,
     RawPair,
-    RepeatCount,
     SubPathSpec,
     Symbol,
     Transfer,
     _count,
+    _set_elements,
     decode_image,
+    encode_elements,
     validate_spec_set,
 )
-
-TAG_RAW_PAIR = 0x00
-TAG_RAW_DEST = 0x01
-TAG_SYMBOL = 0x02
-TAG_REPEAT = 0x03
 
 _WORD_CODE = {16: "H", 32: "I"}  # struct codes of the unsigned word types
 
@@ -85,56 +74,15 @@ def encode_raw(trace: Iterable[Transfer], config: EngineConfig) -> Log:
 
 
 def serialize_log(log: Log, config: EngineConfig, fmt: LogFormat = LogFormat.MEMORY_IMAGE) -> bytes:
-    tagged = fmt is LogFormat.PORTABLE_TAGGED
-    if log.words is not None and not tagged and (log.config is config or log.config == config):
-        return _pack(log.words, config)  # the engine's own image, checked as it was built
-    pair = config.mode is Mode.PAIR
-    raw, other = (RawPair, RawDest) if pair else (RawDest, RawPair)
-    raw_tag = TAG_RAW_PAIR if pair else TAG_RAW_DEST
-    width = config.addr_width
-    # the address rule: tagged, an address fits the word; in the memory
-    # image it also misses the symbol and counter words
-    lo, hi = (0, 1 << width) if tagged else (config.min_code_addr, config.counter_tag)
-    count_tag = 0 if tagged else config.counter_tag
-    words: list[int] = []
-    tags = bytearray()
-    prev = None
-    for el in log.elements:
-        kind = type(el)
-        if kind is raw:
-            for a in el:
-                if not lo <= a < hi:
-                    if 0 <= a < 1 << width:
-                        raise EncodingOverlap(f"address {a:#x} collides with symbol/counter words")
-                    raise AddressOutOfRange(f"address {a:#x} does not fit {width} bits")
-            words += el
-            tags.append(raw_tag)
-        elif kind is Symbol:
-            if not 1 <= el.id <= MAX_SYMBOL_ID:
-                raise MalformedLog(f"symbol id {el.id} out of range")
-            words.append(el.id)
-            tags.append(TAG_SYMBOL)
-        elif kind is RepeatCount:
-            if prev is not Symbol:
-                raise MalformedLog("repeat count not preceded by a symbol")
-            if not MIN_REPEAT_COUNT <= el.count <= MAX_REPEAT_COUNT:
-                raise MalformedLog(f"repeat count {el.count} out of range")
-            words.append(count_tag | el.count)
-            tags.append(TAG_REPEAT)
-        elif kind is other:
-            raise ModeMismatch(f"{other.__name__} element in {config.mode.value}-mode log")
-        else:
-            raise MalformedLog(f"unknown log element {el!r}")
-        prev = kind
-    data = _pack(words, config)
-    if not tagged:
-        return data
+    if fmt is not LogFormat.PORTABLE_TAGGED:
+        return _pack(log.image(config), config)
+    words, tags = encode_elements(log.elements, config, tagged=True)
+    code = _WORD_CODE[config.addr_width]
     out = bytearray()  # each element's tag byte, then its words
     i = 0
     for t in tags:
-        n = config.raw_element_bytes if t == raw_tag else config.word_bytes
-        out.append(t)
-        out += data[i : i + n]
+        n = 2 if t == TAG_RAW_PAIR else 1
+        out += struct.pack(f"<B{n}{code}", t, *words[i : i + n])
         i += n
     return bytes(out)
 
@@ -158,7 +106,7 @@ def _deserialize_tagged(data: bytes, config: EngineConfig) -> list:
         if t == raw_tag:
             elements.append(raw(*vals))
         elif t == TAG_REPEAT:
-            elements.append(_count(elements, vals[0]))
+            elements.append(_count(elements[-1] if elements else None, vals[0]))
         elif not 1 <= vals[0] <= MAX_SYMBOL_ID:
             raise MalformedLog(f"symbol id {vals[0]} out of range")
         else:
@@ -170,7 +118,10 @@ def deserialize_log(data: bytes, config: EngineConfig, fmt: LogFormat = LogForma
     """Decode a whole log; its size is the word bytes it was read from
     (all of ``data``, less one tag byte per element when tagged)."""
     if fmt is LogFormat.MEMORY_IMAGE:
-        return Log(decode_image(_unpack(data, config, MalformedLog), config), len(data))
+        words = _unpack(data, config, MalformedLog)
+        log = Log.from_words(words, config)
+        _set_elements(log, decode_image(words, config))  # raises on a malformed image
+        return log
     elements = _deserialize_tagged(data, config)
     return Log(tuple(elements), len(data) - len(elements))
 

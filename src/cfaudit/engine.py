@@ -35,6 +35,7 @@ its evidence buffer: a raw transfer is its ``src, dest`` words (its
 size is its word count times the word size.  An emitted log carries these
 words, so the memory-image codec packs them as they are; its elements are
 decoded only when they are read, and ``snapshot()`` decodes the buffer.
+``expand`` reads these words too and writes the raw log's words.
 
 A loop body that repeats back to back is replayed rather than stepped.
 Every win returns the automaton to idle, so a win that coalesces (its
@@ -76,18 +77,15 @@ from itertools import chain, islice
 from operator import attrgetter, length_hint
 from typing import Iterable, Sequence
 
-from .errors import AddressOutOfRange, MalformedLog, ModeMismatch, SliceTooSmall, UnknownSymbol
+from .errors import AddressOutOfRange, ModeMismatch, SliceTooSmall, UnknownSymbol
 from .model import (
     MAX_REPEAT_COUNT,
+    MAX_SYMBOL_ID,
     MIN_REPEAT_COUNT,
     EngineConfig,
     Log,
     Mode,
-    RawDest,
-    RawPair,
-    RepeatCount,
     SubPathSpec,
-    Symbol,
     Transfer,
     decode_image,
     validate_spec_set,
@@ -379,37 +377,28 @@ def slice_compress(
 
 
 def expand(log: Log, specs: Sequence[SubPathSpec], config: EngineConfig) -> Log:
-    """Losslessly reverse compression: symbols become their spec entries,
-    a count of k after a symbol yields k occurrences in total."""
+    """Losslessly reverse compression on ``log.image(config)``: an address
+    word is copied, a symbol becomes its spec's entry words (the spec is
+    checked when first used) and a count of k after it repeats them k - 1
+    more times.  Returns a word log."""
     by_id = {s.id: s for s in specs}
+    bodies: dict[int, list[int]] = {}  # symbol id -> its spec's entry words
     pair = config.mode is Mode.PAIR
-    raw, other = (RawPair, RawDest) if pair else (RawDest, RawPair)
-    out: list = []
-    prev_entries: list | None = None
-    for el in log.elements:
-        kind = type(el)
-        if kind is raw:
-            out.append(el)
-            prev_entries = None
-        elif kind is Symbol:
-            spec = by_id.get(el.id)
-            if spec is None:
-                raise UnknownSymbol(f"symbol {el.id} has no installed spec")
-            if spec.mode is not config.mode:
-                raise ModeMismatch(f"spec {el.id} mode disagrees with config")
-            if pair:
-                prev_entries = [RawPair(e.src, e.dest) for e in spec.entries]
-            else:
-                prev_entries = [RawDest(a) for a in spec.entries]
-            out.extend(prev_entries)
-        elif kind is RepeatCount:
-            if prev_entries is None:
-                raise MalformedLog("repeat count not preceded by a symbol")
-            for _ in range(el.count - 1):
-                out.extend(prev_entries)
-            prev_entries = None
-        elif kind is other:
-            raise ModeMismatch(f"{other.__name__} element in {config.mode.value}-mode log")
+    tag = config.counter_tag
+    out: list[int] = []
+    body: list[int] = []
+    for v in log.image(config):
+        if v & tag:
+            out += body * ((v & (tag - 1)) - 1)
+        elif v <= MAX_SYMBOL_ID:
+            body = bodies.get(v)
+            if body is None:
+                spec = by_id.get(v)
+                if spec is None:
+                    raise UnknownSymbol(f"symbol {v} has no installed spec")
+                validate_spec_set((spec,), config)  # its mode and addresses
+                body = bodies[v] = [*chain.from_iterable(spec.entries)] if pair else [*spec.entries]
+            out += body
         else:
-            raise MalformedLog(f"unknown log element {el!r}")
-    return Log(tuple(out), len(out) * config.raw_element_bytes)
+            out.append(v)
+    return Log.from_words(tuple(out), config)

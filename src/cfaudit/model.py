@@ -22,6 +22,7 @@ from .errors import (
     AddressOutOfRange,
     CapacityExceeded,
     DuplicateId,
+    EncodingOverlap,
     LenOverflow,
     MalformedLog,
     ModeMismatch,
@@ -32,6 +33,9 @@ MAX_SYMBOL_ID = 255
 MIN_REPEAT_COUNT = 2
 MAX_REPEAT_COUNT = 32767
 MAX_SPEC_LEN = 255
+
+# each element kind's tag byte in the portable-tagged log layout
+TAG_RAW_PAIR, TAG_RAW_DEST, TAG_SYMBOL, TAG_REPEAT = range(4)
 
 
 class Mode(str, Enum):
@@ -138,7 +142,9 @@ class Log:
     ``config``, and decodes ``elements`` from them on first read; a log
     built from elements has ``words`` and ``config`` None.  Either way a
     log is immutable, and equality, hash and repr are those of
-    ``(elements, size_bytes)``.  A raw log caches its selection keys in
+    ``(elements, size_bytes)``.  Two logs carrying words under equal
+    configs compare their words, since one config decodes well-formed
+    words to elements one to one.  A raw log caches its selection keys in
     ``_keys`` on first use (``selection._raw_keys``); a copy or a pickle
     does not carry them."""
 
@@ -171,6 +177,13 @@ class Log:
             _set_elements(self, elements)
         return elements
 
+    def image(self, config: EngineConfig) -> Sequence[int]:
+        """The log's memory-image words under ``config``: its own under an
+        equal config, else its elements run through ``encode_elements``."""
+        if self.words is not None and self.config == config:
+            return self.words
+        return encode_elements(self.elements, config)[0]
+
     def __setattr__(self, name: str, value) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
@@ -180,6 +193,8 @@ class Log:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
+        if self.words is not None and other.words is not None and self.config == other.config:
+            return self.words == other.words
         return self.size_bytes == other.size_bytes and self.elements == other.elements
 
     def __hash__(self) -> int:
@@ -199,9 +214,10 @@ _set_elements, _set_size_bytes, _set_words, _set_config, _set_keys = (
 )
 
 
-def _count(elements: list, count: int) -> RepeatCount:
-    """The decoded counter after ``elements``: it must follow a symbol."""
-    if not elements or type(elements[-1]) is not Symbol:
+def _count(prev: LogElement | None, count: int) -> RepeatCount:
+    """The counter after element ``prev`` (None at the start of a log): it
+    must follow a symbol."""
+    if type(prev) is not Symbol:
         raise MalformedLog("repeat count not preceded by a symbol")
     if not MIN_REPEAT_COUNT <= count <= MAX_REPEAT_COUNT:
         raise MalformedLog(f"repeat count {count} out of range")
@@ -218,7 +234,7 @@ def decode_image(words: Iterable[int], config: EngineConfig) -> tuple[LogElement
     elements: list = []
     for v in words:
         if v & tag:
-            elements.append(_count(elements, v & (tag - 1)))
+            elements.append(_count(elements[-1] if elements else None, v & (tag - 1)))
         elif v <= MAX_SYMBOL_ID:
             if v == 0:
                 raise MalformedLog("zero word is neither symbol nor address")
@@ -235,6 +251,51 @@ def decode_image(words: Iterable[int], config: EngineConfig) -> tuple[LogElement
         else:
             elements.append(RawDest(v))
     return tuple(elements)
+
+
+def encode_elements(
+    elements: Iterable[LogElement], config: EngineConfig, tagged: bool = False
+) -> tuple[list[int], bytearray]:
+    """The words of ``elements`` under ``config`` and each element's tag
+    byte.  Untagged, the words are the memory image (``decode_image``'s
+    inverse): an address misses the symbol and counter words and a counter
+    carries ``counter_tag``.  Tagged, an address need only fit the word and
+    a counter is its bare count.  Raises on any sequence the engine cannot
+    emit, in any format (a misplaced counter, the other mode's element)."""
+    pair = config.mode is Mode.PAIR
+    raw, other = (RawPair, RawDest) if pair else (RawDest, RawPair)
+    raw_tag = TAG_RAW_PAIR if pair else TAG_RAW_DEST
+    width = config.addr_width
+    lo, hi = (0, 1 << width) if tagged else (config.min_code_addr, config.counter_tag)
+    count_tag = 0 if tagged else config.counter_tag
+    words: list[int] = []
+    tags = bytearray()
+    prev = None
+    for el in elements:
+        kind = type(el)
+        if kind is raw:
+            for a in el:
+                if not lo <= a < hi:
+                    if 0 <= a < 1 << width:
+                        raise EncodingOverlap(f"address {a:#x} collides with symbol/counter words")
+                    raise AddressOutOfRange(f"address {a:#x} does not fit {width} bits")
+            words += el
+            tags.append(raw_tag)
+        elif kind is Symbol:
+            if not 1 <= el.id <= MAX_SYMBOL_ID:
+                raise MalformedLog(f"symbol id {el.id} out of range")
+            words.append(el.id)
+            tags.append(TAG_SYMBOL)
+        elif kind is RepeatCount:
+            _count(prev, el.count)
+            words.append(count_tag | el.count)
+            tags.append(TAG_REPEAT)
+        elif kind is other:
+            raise ModeMismatch(f"{other.__name__} element in {config.mode.value}-mode log")
+        else:
+            raise MalformedLog(f"unknown log element {el!r}")
+        prev = el
+    return words, tags
 
 
 def make_log(elements: Iterable[LogElement], config: EngineConfig) -> Log:

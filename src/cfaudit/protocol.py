@@ -22,7 +22,9 @@ currently installed specs".
 The verifier judges a session on its payload words in one pass: a symbol
 stands for a whole installed spec, whose CFG verdict is worked out once
 per ``assemble`` call, so no symbol is expanded to judge it.  The full raw
-log is built only when ``Verdict.raw_log`` is read.
+log is built only when ``Verdict.raw_log`` is read: each payload's words
+are expanded and joined into one word log, whose elements are decoded
+when they are read.
 """
 
 from __future__ import annotations
@@ -37,13 +39,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .cfg import CFG
-from .codec import (
-    _unpack,
-    deserialize_blockmem,
-    deserialize_log,
-    serialize_blockmem,
-    serialize_log,
-)
+from .codec import _unpack, deserialize_blockmem, serialize_blockmem, serialize_log
 from .engine import expand, slice_compress
 from .errors import (
     AuthError,
@@ -65,7 +61,8 @@ from .model import (
     SubPathSpec,
     Transfer,
 )
-from .model import make_log  # noqa: F401  perfbench/run.py traces this name
+from .codec import deserialize_log  # noqa: F401  perfbench/run.py traces these names
+from .model import make_log  # noqa: F401
 
 CHALLENGE_BYTES = 16
 MAC_BYTES = 32
@@ -269,11 +266,11 @@ class Verdict:
         """The session's full raw log, expanded on first read."""
         if self.payloads is None:
             return None
-        elements: list = []
-        for payload in self.payloads:
-            log = deserialize_log(payload, self.config, LogFormat.MEMORY_IMAGE)
-            elements.extend(expand(log, self.specs, self.config).elements)
-        return Log(tuple(elements), len(elements) * self.config.raw_element_bytes)
+        words: list[int] = []
+        for payload in self.payloads:  # checked by ``_first_invalid`` in ``assemble``
+            log = Log.from_words(_unpack(payload, self.config, MalformedLog), self.config)
+            words += expand(log, self.specs, self.config).words
+        return Log.from_words(tuple(words), self.config)
 
 
 ACCEPT = "accept"

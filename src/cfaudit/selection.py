@@ -33,6 +33,7 @@ from .engine import check_key
 from .errors import AuditError, ModeMismatch
 from .model import (
     MAX_REPEAT_COUNT,
+    MAX_SPEC_LEN,
     EngineConfig,
     Log,
     Mode,
@@ -392,13 +393,14 @@ def select_static(
     config: EngineConfig,
 ) -> list[SubPathSpec]:
     """Greedy rank-order selection of mutually non-overlapping paths (no
-    shared transfer pair) until the count bound or byte budget is reached."""
+    shared transfer pair) until the count bound or byte budget is reached.
+    A path longer than a spec may be is skipped."""
     selected: list[Candidate] = []
     remaining = budget_bytes
     for c in ranked:
         if len(selected) >= n_paths:
             break
-        if any(_shares_pair(c.entries, s.entries) for s in selected):
+        if c.length > MAX_SPEC_LEN or any(_shares_pair(c.entries, s.entries) for s in selected):
             continue
         block = blockmem_block_bytes(c.length, config)
         if block > remaining:

@@ -35,6 +35,22 @@ def chain_document(n=700):
     return "\n".join(lines) + "\n"
 
 
+def long_path_document(n=298):
+    """``main``: one diamond, then an ``n``-block jump chain that calls
+    ``g``, which holds one short diamond.  Each path through ``main`` is
+    ``n + 2`` transfers, more than a spec may hold for ``n`` above 253."""
+    names = ["a", "t", "f", "j"] + [f"c{i}" for i in range(n)]
+    lines = ["function main a", "function g ga"]
+    lines += [f"block {b} {0x400 + 4 * i:04x} {0x402 + 4 * i:04x} main" for i, b in enumerate(names)]
+    lines += [f"block g{b} {0x4000 + 4 * i:04x} {0x4002 + 4 * i:04x} g" for i, b in enumerate("atfj")]
+    for p in ("", "g"):
+        lines += [f"edge {p}a {p}t cond_true", f"edge {p}a {p}f cond_false",
+                  f"edge {p}t {p}j jump", f"edge {p}f {p}j jump"]
+    lines += ["edge j c0 jump", f"edge c{n - 1} ga call"]
+    lines += [f"edge c{i} c{i + 1} jump" for i in range(n - 1)]
+    return "\n".join(lines) + "\n"
+
+
 # b and c jump to each other and each is entered from a, so neither
 # dominates the other: no back edge cuts the cycle and it stays in a segment
 IRREDUCIBLE_DOCUMENT = """\

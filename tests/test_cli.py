@@ -21,9 +21,11 @@ from cfaudit.files import (
     write_trace_document,
 )
 from cfaudit.fixtures import DEMO_KEY, write_fixture_files
-from cfaudit.model import EngineConfig, Mode, SubPathSpec, Transfer
+from cfaudit.model import MAX_SPEC_LEN, EngineConfig, Mode, SubPathSpec, Transfer
 from cfaudit.monitor import AccessEvent
 from cfaudit.selection import estimate_savings
+
+from test_cfg import long_path_document
 
 A, B, D = 0x0400, 0x0500, 0x0600
 CONFIG = EngineConfig()
@@ -104,6 +106,16 @@ class TestCompressExpand:
         assert capsys.readouterr().err == "error: transfer (0x100, 0x500) out of range\n"
         assert not out.exists()
 
+    def test_tagged_log_expands_only_code_addresses(self, workdir, capsys):
+        # expansion reads the memory image, which has no room for 0x100
+        low = workdir / "low.tagged"
+        low.write_bytes(bytes([0x00, 0x00, 0x01, 0x00, 0x05]))  # raw pair (0x100, 0x500)
+        out = workdir / "low.trace"
+        assert run("expand", low, "-o", out, "--format", "tagged") == 1
+        assert capsys.readouterr().err == (
+            "error: address 0x100 collides with symbol/counter words\n")
+        assert not out.exists()
+
 
 class TestSelect:
     def test_each_policy_yields_usable_specs(self, workdir, tmp_path):
@@ -130,6 +142,16 @@ class TestSelect:
             Transfer(0x2116, 0x2120),
             Transfer(0x2126, 0x2130),
         )
+
+    def test_static_policy_skips_paths_too_long_for_a_spec(self, tmp_path, capsys):
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(long_path_document())
+        spec_out = tmp_path / "static.specs"
+        assert run("select", "--policy", "static", "--cfg", cfg, "-o", spec_out,
+                   "--budget", 100_000) == 0
+        _, specs = parse_spec_document(spec_out.read_text())
+        assert specs and all(s.length <= MAX_SPEC_LEN for s in specs)
+        assert capsys.readouterr().err == ""
 
     def test_select_budget_respected(self, workdir, tmp_path):
         fixtures = write_fixture_files(tmp_path / "fx")

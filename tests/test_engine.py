@@ -9,6 +9,7 @@ from cfaudit.codec import blockmem_block_bytes, encode_raw, serialize_log
 from cfaudit.engine import Engine, compress_trace, expand, slice_compress
 from cfaudit.errors import (
     AddressOutOfRange,
+    EncodingOverlap,
     MalformedLog,
     ModeMismatch,
     SliceTooSmall,
@@ -287,6 +288,30 @@ class TestExpand:
             expand(make_log([RawPair(A, B), RawDest(D)], PAIR16), [ABD_SPEC], PAIR16)
         with pytest.raises(ModeMismatch, match="RawPair element in dest-mode"):
             expand(make_log([RawPair(A, B)], dest16), [], dest16)
+
+    def test_element_log_must_fit_the_memory_image(self):
+        # a tagged file can hold any address that fits the word; expansion
+        # reads memory-image words, so it takes only code addresses
+        tagged = bytes([0x00, 0x00, 0x01, 0x00, 0x05])  # one raw pair (0x100, 0x500)
+        log = codec.deserialize_log(tagged, PAIR16, LogFormat.PORTABLE_TAGGED)
+        assert log.elements == (RawPair(0x100, 0x500),)
+        with pytest.raises(EncodingOverlap, match="address 0x100 collides"):
+            expand(log, [ABD_SPEC], PAIR16)
+        with pytest.raises(EncodingOverlap):
+            expand(make_log([RawPair(A, 0x8000)], PAIR16), [], PAIR16)  # a counter word
+        with pytest.raises(AddressOutOfRange):
+            expand(make_log([RawPair(A, 0x10000)], PAIR16), [], PAIR16)
+
+    def test_spec_is_checked_when_its_symbol_is_used(self):
+        low = SubPathSpec(2, pairs((0x100, B)))
+        other_mode = SubPathSpec(3, (A, B))
+        log = make_log([RawPair(A, B), Symbol(1)], PAIR16)
+        assert expand(log, [ABD_SPEC, low, other_mode], PAIR16) == encode_raw(
+            pairs((A, B)) + ABD_TRACE, PAIR16)
+        with pytest.raises(AddressOutOfRange):
+            expand(make_log([Symbol(2)], PAIR16), [low], PAIR16)
+        with pytest.raises(ModeMismatch):
+            expand(make_log([Symbol(3)], PAIR16), [other_mode], PAIR16)
 
     def test_round_trip_property(self):
         for seed in range(60):

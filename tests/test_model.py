@@ -1,8 +1,11 @@
 import pickle
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cfaudit.engine import compress_trace
 from cfaudit.errors import AddressOutOfRange, LenOverflow
 from cfaudit.model import (
     EngineConfig,
@@ -17,6 +20,8 @@ from cfaudit.model import (
     make_log,
 )
 from cfaudit.protocol import Request, make_request
+
+from test_engine import grid_instances
 
 
 def test_config_defaults():
@@ -125,3 +130,34 @@ def test_log_fields_and_immutability():
         with pytest.raises(FrozenInstanceError):
             del log.words
         assert pickle.loads(pickle.dumps(log)) == log
+
+
+@st.composite
+def engine_log_inputs(draw):
+    """A ``grid_instances`` case plus a second trace: the same one, or one
+    with a transfer replaced by another of the trace (which may leave it
+    the same)."""
+    trace, specs, config = draw(grid_instances())
+    other = list(trace)
+    if other and draw(st.booleans()):
+        other[draw(st.integers(0, len(other) - 1))] = draw(st.sampled_from(trace))
+    return trace, other, specs, config
+
+
+@given(engine_log_inputs())
+@settings(max_examples=150, deadline=None)
+def test_word_log_equality_agrees_with_elements(inst):
+    trace, other, specs, config = inst
+    a = compress_trace(trace, specs, config)
+    # an equal config that is not the same object
+    b = compress_trace(other, specs, replace(config))
+    same = a.elements == b.elements and a.size_bytes == b.size_bytes
+    b_elements = Log(b.elements, b.size_bytes)
+    for x, y in ((a, b), (a, b_elements), (b_elements, a)):
+        assert (x == y) is same and (x != y) is not same
+        if same:
+            assert hash(x) == hash(y)
+    if config.addr_width == 16 and trace:  # the same elements in wider words
+        wide = compress_trace(trace, specs, replace(config, addr_width=32))
+        assert wide.elements == a.elements and wide.size_bytes == 2 * a.size_bytes
+        assert wide != a and a != wide and Log(wide.elements, wide.size_bytes) != a

@@ -1,7 +1,9 @@
 """Totality of every reader of outside input: the trace, spec, CFG and
-event documents and the request and slice frames.  Fed arbitrary text or
-bytes, or a mutated well-formed input, each reader returns or raises an
-``AuditError`` or a ``ValueError``, never anything else.  A frame that
+event documents, the request and slice frames, serialized logs in both
+formats (and their expansion), block memory and key files.  Fed arbitrary
+text or bytes, or a mutated well-formed input, each reader returns or
+raises an ``AuditError`` or a ``ValueError``, never anything else (a key
+file may also raise ``OSError``).  A frame, log or block memory that
 decodes encodes back to the same bytes."""
 
 import pytest
@@ -10,19 +12,30 @@ from hypothesis import strategies as st
 
 from cfaudit import fixtures
 from cfaudit.cfg import build_cfg, write_cfg_document
-from cfaudit.codec import parse_spec_document, write_spec_document
+from cfaudit.codec import (
+    deserialize_blockmem,
+    deserialize_log,
+    parse_spec_document,
+    serialize_blockmem,
+    serialize_log,
+    write_spec_document,
+)
+from cfaudit.engine import compress_trace, expand
 from cfaudit.errors import AuditError
 from cfaudit.files import (
+    KEY_BYTES,
+    load_key,
     parse_event_document,
     parse_trace_document,
     write_event_document,
     write_trace_document,
 )
-from cfaudit.model import EngineConfig, Mode, SubPathSpec, Transfer
+from cfaudit.model import EngineConfig, LogFormat, Mode, SubPathSpec, Transfer
 from cfaudit.monitor import AccessEvent
 from cfaudit.protocol import EvidenceSlice, Prover, Request, make_request
 from cfaudit.workload import generate_trace
 
+from conftest import CONFIG_GRID
 from test_cfg import IRREDUCIBLE_DOCUMENT
 from test_cli_totality import mutated
 
@@ -34,6 +47,14 @@ DEST = EngineConfig(mode=Mode.DEST, addr_width=32, slice_size_bytes=64)
 TRACE = generate_trace(fixtures.sensor_cfg(), fixtures.sensor_profile(steps=60))
 PAIR_SPECS = [SubPathSpec(1, tuple(TRACE[:3])), SubPathSpec(2, tuple(TRACE[10:12]))]
 DEST_SPECS = [SubPathSpec(1, tuple(t.dest for t in TRACE[:3]))]
+DEST_TRACE = [Transfer(None, t.dest) for t in TRACE]
+
+
+def _session(config):
+    """The spec set of ``config``'s mode and a trace that repeats spec 1,
+    so that its log holds symbols, a counter and raw transfers."""
+    specs, trace = (PAIR_SPECS, TRACE) if config.mode is Mode.PAIR else (DEST_SPECS, DEST_TRACE)
+    return specs, trace[:3] * 3 + trace
 
 
 def _slice_frames(config, specs, trace):
@@ -70,8 +91,19 @@ SEEDS = {
     ],
     "slice": (
         _slice_frames(PAIR, PAIR_SPECS, TRACE)[-2:]
-        + _slice_frames(DEST, DEST_SPECS, [Transfer(None, t.dest) for t in TRACE])[-2:]
+        + _slice_frames(DEST, DEST_SPECS, DEST_TRACE)[-2:]
     ),
+    "key": [bytes(range(KEY_BYTES)), bytes(range(KEY_BYTES)).hex().encode() + b"\n"],
+}
+# per grid config: a compressed log in each format, and the block memory
+LOG_SEEDS = {
+    (config, fmt): serialize_log(compress_trace(trace, specs, config), config, fmt)
+    for config in CONFIG_GRID
+    for specs, trace in [_session(config)]
+    for fmt in LogFormat
+}
+BLOCKMEM_SEEDS = {
+    config: serialize_blockmem(_session(config)[0], config).data for config in CONFIG_GRID
 }
 
 
@@ -84,7 +116,11 @@ def text_input(kind):
 
 
 def frame_input(kind):
-    return st.one_of(st.sampled_from(SEEDS[kind]).flatmap(mutated), st.binary(max_size=96))
+    return frame_input_from(SEEDS[kind])
+
+
+def frame_input_from(seeds):
+    return st.one_of(st.sampled_from(seeds).flatmap(mutated), st.binary(max_size=96))
 
 
 def total(reader, data):
@@ -155,3 +191,50 @@ def test_slice_frame(frame):
 def test_seed_frames_decode(kind, decode):
     for frame in SEEDS[kind]:
         assert decode(frame).encode() == frame
+
+
+@SETTINGS
+@given(config=st.sampled_from(CONFIG_GRID), fmt=st.sampled_from(list(LogFormat)),
+       data=st.data())
+def test_log_bytes_and_their_expansion(config, fmt, data):
+    raw = data.draw(frame_input_from([LOG_SEEDS[config, fmt]]))
+    log = total(lambda b: deserialize_log(b, config, fmt), raw)
+    if log is not None:
+        assert serialize_log(log, config, fmt) == raw
+        full = total(lambda lg: expand(lg, _session(config)[0], config), log)
+        if full is not None:
+            full.elements  # an expanded log is well formed: it decodes
+
+
+@SETTINGS
+@given(config=st.sampled_from(CONFIG_GRID), data=st.data())
+def test_blockmem_bytes(config, data):
+    raw = data.draw(frame_input_from([BLOCKMEM_SEEDS[config]]))
+    specs = total(lambda b: deserialize_blockmem(b, config), raw)
+    if specs is not None and len(specs) <= config.max_sub_paths:
+        assert serialize_blockmem(specs, config).data == raw
+
+
+@SETTINGS
+@given(data=frame_input("key"))
+def test_key_file(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.key"  # rewritten by every example
+    path.write_bytes(data)
+    try:
+        key = load_key(path)
+    except (AuditError, ValueError, OSError):
+        return
+    assert len(key) == KEY_BYTES
+
+
+def test_seed_logs_blockmem_and_keys_decode(tmp_path):
+    for (config, fmt), data in LOG_SEEDS.items():
+        specs, trace = _session(config)
+        log = deserialize_log(data, config, fmt)
+        assert serialize_log(log, config, fmt) == data
+        assert expand(log, specs, config) == compress_trace(trace, (), config)
+    for config, data in BLOCKMEM_SEEDS.items():
+        assert deserialize_blockmem(data, config) == tuple(_session(config)[0])
+    for i, data in enumerate(SEEDS["key"]):
+        (tmp_path / f"{i}.key").write_bytes(data)
+        assert load_key(tmp_path / f"{i}.key") == bytes(range(KEY_BYTES))

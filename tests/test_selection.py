@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfaudit import selection
+from cfaudit.cfg import build_cfg
 from cfaudit.codec import blockmem_block_bytes, encode_raw
 from cfaudit.errors import AddressOutOfRange, ModeMismatch
 from cfaudit.fixtures import (
@@ -50,6 +51,7 @@ from cfaudit.selection import (
 from cfaudit.workload import generate_trace
 
 from conftest import CONFIG_GRID, address_pool, blockmem_bytes, random_specs, random_trace
+from test_cfg import long_path_document
 
 PAIR16 = EngineConfig()
 DEST16 = EngineConfig(mode=Mode.DEST)
@@ -592,6 +594,18 @@ class TestStatic:
         budget = blockmem_block_bytes(1, PAIR16) * 2
         specs = select_static(cands, 8, budget, PAIR16)
         assert len(specs) == 2
+
+    def test_select_static_skips_paths_too_long_for_a_spec(self):
+        ranked = static_candidates(build_cfg(long_path_document()))
+        assert {c.length for c in ranked} == {300, 2}
+        assert ranked[0].length == 300  # the long paths rank first
+        specs = select_static(ranked, 8, 100_000, PAIR16)
+        assert len(specs) == 2 and all(s.length == 2 for s in specs)
+        long = Candidate(tuple(Transfer(0x0400 + i, 0x0401 + i) for i in range(256)), 0)
+        short = Candidate((Transfer(0x0600, 0x0700),), 0)
+        assert [s.entries for s in select_static([long, short], 8, 100_000, PAIR16)] == [
+            short.entries
+        ]
 
 
 def rank_static_like(cands):
