@@ -13,15 +13,13 @@ transfer (src block end address, dest block start address).
 
 Segmentation cuts the graph at back edges, at call and return edges, and
 at every edge whose endpoints differ in loop membership, so each segment
-is a forward-edge subgraph whose blocks share one loop context.  Merging
-fuses a segment into its unique successor when the connecting edges are
-plain forward edges that do not enter a loop header.
+is a forward-edge subgraph whose blocks share one loop context.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import MalformedCFG, ParseError, PathExplosion
 from .files import hex_value, records
@@ -58,12 +56,8 @@ class CFG:
     def entry_function(self) -> str:
         return self.functions[0][0]
 
-    def entry_block(self, function: str | None = None) -> Block:
-        name = function or self.entry_function
-        for fn, entry in self.functions:
-            if fn == name:
-                return self.blocks[entry]
-        raise KeyError(name)
+    def entry_block(self) -> Block:
+        return self.blocks[self.functions[0][1]]
 
     def function_blocks(self, function: str) -> list[Block]:
         return [b for b in self.blocks.values() if b.function == function]
@@ -215,19 +209,11 @@ def find_loops(cfg: CFG) -> LoopInfo:
 
 # --- segmentation ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SegmentLink:
-    dest: int
-    kind: str
-    fusable: bool
-
-
 @dataclass
 class Segment:
     id: int
     blocks: frozenset[str]
     edges: tuple[Edge, ...] = ()  # internal forward edges only
-    links: tuple[SegmentLink, ...] = ()
 
 
 def _is_cut(edge: Edge, loops: LoopInfo) -> bool:
@@ -240,7 +226,6 @@ def _is_cut(edge: Edge, loops: LoopInfo) -> bool:
 
 def segment_cfg(cfg: CFG, loops: LoopInfo | None = None) -> list[Segment]:
     loops = loops or find_loops(cfg)
-    cut = [e for e in cfg.edges if _is_cut(e, loops)]
     keep = [e for e in cfg.edges if not _is_cut(e, loops)]
 
     parent: dict[str, str] = {b: b for b in cfg.blocks}
@@ -260,66 +245,10 @@ def segment_cfg(cfg: CFG, loops: LoopInfo | None = None) -> list[Segment]:
     for b, s in seg_of.items():
         members[s].add(b)
 
-    loop_headers = set(loops.loops)
-    links: dict[int, list[SegmentLink]] = {i: [] for i in members}
-    for e in cut:
-        a, b = seg_of[e.src], seg_of[e.dest]
-        fusable = (
-            e.kind not in CROSS_FUNCTION_KINDS
-            and (e.src, e.dest) not in loops.back_edges
-            and e.dest not in loop_headers
-        )
-        links[a].append(SegmentLink(b, e.kind, fusable))
-
     return [
-        Segment(i, frozenset(blks), tuple(e for e in keep if seg_of[e.src] == i), tuple(links[i]))
+        Segment(i, frozenset(blks), tuple(e for e in keep if seg_of[e.src] == i))
         for i, blks in members.items()
     ]
-
-
-def merge_segments(segments: Iterable[Segment]) -> list[Segment]:
-    """Fuse each segment with exactly one (fusable, non-self) successor into
-    that successor, repeated to fixpoint."""
-    segs: dict[int, Segment] = {
-        s.id: Segment(s.id, s.blocks, s.edges, s.links)
-        for s in segments
-    }
-    changed = True
-    while changed:
-        changed = False
-        for a in list(segs.values()):
-            dests = {l.dest for l in a.links if l.dest != a.id}
-            if len(dests) != 1:
-                continue
-            b_id = dests.pop()
-            connecting = [l for l in a.links if l.dest == b_id]
-            if not all(l.fusable for l in connecting):
-                continue
-            b = segs.pop(b_id)
-            keep_links = [l for l in a.links if l.dest not in (a.id, b_id)]
-            self_links = [l for l in a.links if l.dest == a.id]
-            merged_links = tuple(self_links + keep_links + list(b.links))
-            segs[a.id] = Segment(
-                a.id,
-                a.blocks | b.blocks,
-                a.edges + b.edges,
-                merged_links,
-            )
-            # repoint every link that targeted the absorbed segment
-            for s in list(segs.values()):
-                if any(l.dest == b_id for l in s.links):
-                    segs[s.id] = Segment(
-                        s.id,
-                        s.blocks,
-                        s.edges,
-                        tuple(
-                            SegmentLink(a.id if l.dest == b_id else l.dest, l.kind, l.fusable)
-                            for l in s.links
-                        ),
-                    )
-            changed = True
-            break
-    return sorted(segs.values(), key=lambda s: s.id)
 
 
 # --- per-segment path enumeration --------------------------------------------

@@ -4,12 +4,12 @@ The packed ("memory image") log format stores one little-endian word per
 element, so the three word classes must occupy disjoint numeric ranges:
 
 * symbol ids live in 1..255,
-* code addresses start at ``min_code_addr`` (which must be above 255),
+* code addresses start at ``MIN_CODE_ADDR`` (0x0400, above 255),
 * repeat counters carry the top bit of the word as a tag, reserving the
   upper half of the address space.
 
 Every address accepted by the compressor therefore lies in the half-open
-interval ``[min_code_addr, 1 << (addr_width - 1))``.
+interval ``[MIN_CODE_ADDR, 1 << (addr_width - 1))``.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .errors import (
 )
 
 MAX_SYMBOL_ID = 255
+MIN_CODE_ADDR = 0x0400
 MIN_REPEAT_COUNT = 2
 MAX_REPEAT_COUNT = 32767
 MAX_SPEC_LEN = 255
@@ -89,7 +90,6 @@ LogElement = Union[RawPair, RawDest, Symbol, RepeatCount]
 class EngineConfig:
     mode: Mode = Mode.PAIR
     addr_width: int = 16
-    min_code_addr: int = 0x0400
     max_sub_paths: int = 8
     slice_size_bytes: int = 256
     retry_on_mismatch: bool = False
@@ -104,15 +104,14 @@ class EngineConfig:
         if not 0 < self.slice_size_bytes < 1 << 32:
             # a request carries the slice size in a 4-byte field
             raise ValueError("slice_size_bytes must be in 1..2**32-1")
-        if not MAX_SYMBOL_ID < self.min_code_addr < self.counter_tag:
-            raise ValueError(
-                "min_code_addr must be above the symbol id range and below "
-                "the counter tag bit"
-            )
 
     @property
     def word_bytes(self) -> int:
         return self.addr_width // 8
+
+    @property
+    def min_code_addr(self) -> int:
+        return MIN_CODE_ADDR
 
     @property
     def counter_tag(self) -> int:

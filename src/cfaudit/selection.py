@@ -20,14 +20,7 @@ from heapq import heapify, heappop
 from itertools import chain, count
 from typing import Iterable, Sequence
 
-from .cfg import (
-    CFG,
-    SegmentPath,
-    enumerate_segment_paths,
-    find_loops,
-    merge_segments,
-    segment_cfg,
-)
+from .cfg import CFG, LoopInfo, SegmentPath, enumerate_segment_paths, find_loops, segment_cfg
 from .codec import blockmem_block_bytes
 from .engine import check_key
 from .errors import AuditError, ModeMismatch
@@ -336,13 +329,12 @@ def _called_functions(cfg: CFG) -> set[str]:
     return called
 
 
-def rank_static(cfg: CFG, paths: Iterable[SegmentPath]) -> list[Candidate]:
+def rank_static(cfg: CFG, loops: LoopInfo, paths: Iterable[SegmentPath]) -> list[Candidate]:
     """Order enumerated paths by priority class: inside a loop, then in the
     max-branching function, then in a function called from a loop or from
     the max-branching function; shorter first within a class.  Functions
     that are never called or have no internal branches contribute nothing.
     """
-    loops = find_loops(cfg)
     branches = _branch_counts(cfg)
     called = _called_functions(cfg)
     max_branch_fn = max(branches, key=lambda fn: (branches[fn], fn)) if branches else None
@@ -372,14 +364,14 @@ def rank_static(cfg: CFG, paths: Iterable[SegmentPath]) -> list[Candidate]:
     return ranked
 
 
-def static_candidates(cfg: CFG, max_paths_per_segment: int = 10_000) -> list[Candidate]:
-    """Full static pipeline: segment, merge, enumerate, rank."""
+def static_candidates(cfg: CFG) -> list[Candidate]:
+    """Full static pipeline: find the loops once, segment, enumerate each
+    segment's paths (``DEFAULT_PATH_CAP`` per segment), rank."""
     loops = find_loops(cfg)
-    segments = merge_segments(segment_cfg(cfg, loops))
-    paths: list[SegmentPath] = []
-    for seg in segments:
-        paths.extend(enumerate_segment_paths(seg, cfg, max_paths_per_segment))
-    return rank_static(cfg, paths)
+    paths = chain.from_iterable(
+        enumerate_segment_paths(seg, cfg) for seg in segment_cfg(cfg, loops)
+    )
+    return rank_static(cfg, loops, paths)
 
 
 def _shares_pair(a: tuple, b: tuple) -> bool:

@@ -1,7 +1,7 @@
 """Seeded synthetic workload generation: weighted random walks over a CFG.
 
-A profile fixes the seed, the step budget, per-edge-kind weights, and a
-multiplier applied to loop back edges.  Generation is a pure function of
+A profile fixes the seed, the step budget, and a weight for loop back
+edges; every other edge weighs 1.  Generation is a pure function of
 (cfg, profile): identical inputs yield identical traces, and every
 emitted transfer is a real CFG edge.
 """
@@ -9,8 +9,7 @@ emitted transfer is a real CFG edge.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 from .cfg import CFG, find_loops
 from .model import Transfer
@@ -20,7 +19,6 @@ from .model import Transfer
 class WorkloadProfile:
     seed: int
     steps: int
-    edge_weights: Mapping[str, float] = field(default_factory=dict)
     loop_bias: float = 1.0
 
     def __post_init__(self) -> None:
@@ -28,9 +26,6 @@ class WorkloadProfile:
             raise ValueError("steps must be non-negative")
         if self.loop_bias <= 0:
             raise ValueError("loop_bias must be positive")
-        for kind, w in self.edge_weights.items():
-            if w <= 0:
-                raise ValueError(f"weight for {kind!r} must be positive")
 
 
 def generate_trace(cfg: CFG, profile: WorkloadProfile) -> list[Transfer]:
@@ -47,9 +42,7 @@ def generate_trace(cfg: CFG, profile: WorkloadProfile) -> list[Transfer]:
         if not edges:
             break
         weights = [
-            profile.edge_weights.get(e.kind, 1.0)
-            * (profile.loop_bias if (e.src, e.dest) in loops.back_edges else 1.0)
-            for e in edges
+            profile.loop_bias if (e.src, e.dest) in loops.back_edges else 1.0 for e in edges
         ]
         edge = rng.choices(edges, weights=weights)[0]
         trace.append(Transfer(cfg.blocks[edge.src].end, cfg.blocks[edge.dest].start))

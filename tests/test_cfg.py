@@ -4,12 +4,9 @@ from cfaudit.cfg import (
     CFG,
     Block,
     Edge,
-    Segment,
-    SegmentLink,
     build_cfg,
     enumerate_segment_paths,
     find_loops,
-    merge_segments,
     segment_cfg,
     write_cfg_document,
 )
@@ -48,6 +45,23 @@ def long_path_document(n=298):
                   f"edge {p}t {p}j jump", f"edge {p}f {p}j jump"]
     lines += ["edge j c0 jump", f"edge c{n - 1} ga call"]
     lines += [f"edge c{i} c{i + 1} jump" for i in range(n - 1)]
+    return "\n".join(lines) + "\n"
+
+
+def looped_diamonds_document(loop=13, exit=11):
+    """``main``: a loop of ``loop`` stacked diamonds whose latch ``s<loop>``
+    jumps back to ``s0`` or exits into ``exit`` more stacked diamonds.  The
+    loop and the exit are two segments, with ``2**loop`` and ``2**exit``
+    paths."""
+    splits = [f"s{i}" for i in range(loop + 1)] + [f"x{i}" for i in range(exit + 1)]
+    diamonds = [(a, b) for a, b in zip(splits, splits[1:]) if a != f"s{loop}"]
+    names = splits + [f"{a}{arm}" for a, _ in diamonds for arm in "tf"]
+    lines = ["function main s0"]
+    lines += [f"block {b} {0x400 + 4 * i:04x} {0x402 + 4 * i:04x} main" for i, b in enumerate(names)]
+    for a, b in diamonds:
+        lines += [f"edge {a} {a}t cond_true", f"edge {a} {a}f cond_false",
+                  f"edge {a}t {b} jump", f"edge {a}f {b} jump"]
+    lines += [f"edge s{loop} s0 cond_true", f"edge s{loop} x0 cond_false"]
     return "\n".join(lines) + "\n"
 
 
@@ -186,7 +200,7 @@ class TestLoops:
 class TestSegments:
     def test_loop_free_single_function_single_segment(self):
         cfg = linear_cfg(["a", "b", "c"])
-        segments = merge_segments(segment_cfg(cfg))
+        segments = segment_cfg(cfg)
         assert len(segments) == 1
         assert segments[0].blocks == {"a", "b", "c"}
 
@@ -232,29 +246,6 @@ class TestSegments:
             memberships = {info.membership[b] for b in seg.blocks}
             assert len(memberships) == 1
 
-    def test_merge_chain_to_one(self):
-        chain = [
-            Segment(0, frozenset({"a"}), (), (SegmentLink(1, "jump", True),)),
-            Segment(1, frozenset({"b"}), (), (SegmentLink(2, "jump", True),)),
-            Segment(2, frozenset({"c"}), (), ()),
-        ]
-        merged = merge_segments(chain)
-        assert len(merged) == 1
-        assert merged[0].blocks == {"a", "b", "c"}
-
-    def test_merge_refuses_unfusable_links(self):
-        chain = [
-            Segment(0, frozenset({"a"}), (), (SegmentLink(1, "call", False),)),
-            Segment(1, frozenset({"b"}), (), ()),
-        ]
-        assert len(merge_segments(chain)) == 2
-
-    def test_merge_never_crosses_into_loop_header(self):
-        cfg = linear_cfg(["p", "h", "b", "x"], extra_edges=[("b", "h", "jump")])
-        merged = merge_segments(segment_cfg(cfg))
-        pre = next(s for s in merged if "p" in s.blocks)
-        assert "h" not in pre.blocks
-
 
 class TestPaths:
     def test_diamond_two_paths(self):
@@ -267,7 +258,7 @@ class TestPaths:
             {**cfg.blocks, "c": Block("c", 0x0500, 0x0506, "f")},
             cfg.edges,
         )
-        segments = merge_segments(segment_cfg(cfg))
+        segments = segment_cfg(cfg)
         assert len(segments) == 1
         paths = enumerate_segment_paths(segments[0], cfg)
         assert len(paths) == 2
@@ -276,7 +267,7 @@ class TestPaths:
 
     def test_transfer_mapping_uses_end_start(self):
         cfg = linear_cfg(["a", "b"])
-        seg = merge_segments(segment_cfg(cfg))[0]
+        seg = segment_cfg(cfg)[0]
         (path,) = enumerate_segment_paths(seg, cfg)
         assert path.transfers[0].src == cfg.blocks["a"].end
         assert path.transfers[0].dest == cfg.blocks["b"].start
@@ -301,21 +292,21 @@ class TestPaths:
             ]
             prev = j
         cfg = CFG((("f", "n0"),), blocks, tuple(edges))
-        (seg,) = merge_segments(segment_cfg(cfg))
+        (seg,) = segment_cfg(cfg)
         with pytest.raises(PathExplosion):
             enumerate_segment_paths(seg, cfg, max_paths=1000)
         assert len(enumerate_segment_paths(seg, cfg, max_paths=5000)) == 4096
 
     def test_deep_chain_is_one_path(self):
         cfg = build_cfg(chain_document())
-        (seg,) = merge_segments(segment_cfg(cfg))
+        (seg,) = segment_cfg(cfg)
         (path,) = enumerate_segment_paths(seg, cfg)
         assert path.blocks == tuple(f"b{i}" for i in range(700))
         assert len(path.transfers) == 699
 
     def test_cycle_in_segment_is_malformed(self):
         cfg = build_cfg(IRREDUCIBLE_DOCUMENT)
-        (seg,) = merge_segments(segment_cfg(cfg))
+        (seg,) = segment_cfg(cfg)
         with pytest.raises(MalformedCFG, match=f"segment {seg.id} "):
             enumerate_segment_paths(seg, cfg)
 
@@ -324,6 +315,6 @@ class TestPaths:
         cfg = linear_cfg(["a", "b"], extra_edges=[("b", "a", "jump")])
         cfg = CFG((("f", "x"),), {**cfg.blocks, "x": Block("x", 0x0500, 0x0506, "f")},
                   cfg.edges)
-        seg = next(s for s in merge_segments(segment_cfg(cfg)) if "a" in s.blocks)
+        seg = next(s for s in segment_cfg(cfg) if "a" in s.blocks)
         with pytest.raises(MalformedCFG):
             enumerate_segment_paths(seg, cfg)

@@ -25,7 +25,7 @@ from cfaudit.model import MAX_SPEC_LEN, EngineConfig, Mode, SubPathSpec, Transfe
 from cfaudit.monitor import AccessEvent
 from cfaudit.selection import estimate_savings
 
-from test_cfg import long_path_document
+from test_cfg import long_path_document, looped_diamonds_document
 
 A, B, D = 0x0400, 0x0500, 0x0600
 CONFIG = EngineConfig()
@@ -151,6 +151,16 @@ class TestSelect:
                    "--budget", 100_000) == 0
         _, specs = parse_spec_document(spec_out.read_text())
         assert specs and all(s.length <= MAX_SPEC_LEN for s in specs)
+        assert capsys.readouterr().err == ""
+
+    def test_static_path_cap_is_per_segment(self, tmp_path, capsys):
+        # 2**13 loop paths plus 2**11 exit paths: over the cap together, not apart
+        cfg = tmp_path / "diamonds.cfg"
+        cfg.write_text(looped_diamonds_document())
+        spec_out = tmp_path / "static.specs"
+        assert run("select", "--policy", "static", "--cfg", cfg, "-o", spec_out) == 0
+        _, specs = parse_spec_document(spec_out.read_text())
+        assert specs
         assert capsys.readouterr().err == ""
 
     def test_select_budget_respected(self, workdir, tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cfaudit.engine import compress_trace
 from cfaudit.errors import AddressOutOfRange, LenOverflow
 from cfaudit.model import (
+    MIN_CODE_ADDR,
     EngineConfig,
     Log,
     Mode,
@@ -43,13 +44,20 @@ def test_config_defaults():
         {"max_sub_paths": 9},
         {"slice_size_bytes": 0},
         {"slice_size_bytes": 2**32},  # does not fit the request's 4-byte field
-        {"min_code_addr": 0x80},  # collides with symbol ids
-        {"min_code_addr": 0x9000},  # collides with the counter tag range
     ],
 )
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         EngineConfig(**kwargs)
+
+
+def test_min_code_addr_is_fixed():
+    for config in (EngineConfig(), EngineConfig(mode=Mode.DEST, addr_width=32)):
+        assert config.min_code_addr == MIN_CODE_ADDR == 0x0400
+    with pytest.raises(TypeError):
+        EngineConfig(min_code_addr=0x0800)
+    with pytest.raises(AttributeError):
+        EngineConfig().min_code_addr = 0x0800
 
 
 def test_largest_slice_size_fits_the_request():

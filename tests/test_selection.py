@@ -10,10 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfaudit import cfg as cfg_module
 from cfaudit import selection
-from cfaudit.cfg import build_cfg
-from cfaudit.codec import blockmem_block_bytes, encode_raw
-from cfaudit.errors import AddressOutOfRange, ModeMismatch
+from cfaudit.cfg import (
+    CFG,
+    EDGE_KINDS,
+    Block,
+    Edge,
+    build_cfg,
+    find_loops,
+    segment_cfg,
+)
+from cfaudit.codec import blockmem_block_bytes, encode_raw, write_spec_document
+from cfaudit.errors import AddressOutOfRange, MalformedCFG, ModeMismatch, PathExplosion
 from cfaudit.fixtures import (
     BRANCHY_LEN_RANGE,
     SENSOR_LEN_RANGE,
@@ -51,7 +60,7 @@ from cfaudit.selection import (
 from cfaudit.workload import generate_trace
 
 from conftest import CONFIG_GRID, address_pool, blockmem_bytes, random_specs, random_trace
-from test_cfg import long_path_document
+from test_cfg import long_path_document, looped_diamonds_document
 
 PAIR16 = EngineConfig()
 DEST16 = EngineConfig(mode=Mode.DEST)
@@ -544,6 +553,34 @@ class TestSelect:
                 assert blockmem_bytes(specs, DEST16) <= budget
 
 
+@st.composite
+def random_cfgs(draw):
+    """1-3 functions of 1-8 blocks each.  Each block has 0-3 out-edges: a
+    jump, branch or fallthrough to a block of its own function (one in four
+    back to itself or an earlier block), a call to a function entry, or a
+    return to any block."""
+    functions, blocks = [], {}
+    for f in range(draw(st.integers(1, 3))):
+        ids = [f"f{f}b{i}" for i in range(draw(st.integers(1, 8)))]
+        functions.append((f"f{f}", ids[0]))
+        for b in ids:
+            start = 0x0400 + 4 * len(blocks)
+            blocks[b] = Block(b, start, start + 2, f"f{f}")
+    edges = []
+    for b in blocks.values():
+        own = [x for x in blocks if blocks[x].function == b.function]
+        earlier, later = own[: own.index(b.id) + 1], own[own.index(b.id) + 1 :]
+        for kind in draw(st.lists(st.sampled_from(EDGE_KINDS), max_size=3)):
+            if kind == "call":
+                dests = [entry for _, entry in functions]
+            elif kind == "return":
+                dests = list(blocks)
+            else:
+                dests = earlier if not later or draw(st.integers(0, 3)) == 0 else later
+            edges.append(Edge(b.id, draw(st.sampled_from(dests)), kind))
+    return CFG(tuple(functions), blocks, tuple(edges))
+
+
 class TestStatic:
     def test_demo_ranking(self):
         ranked = static_candidates(static_demo_cfg())
@@ -606,6 +643,74 @@ class TestStatic:
         assert [s.entries for s in select_static([long, short], 8, 100_000, PAIR16)] == [
             short.entries
         ]
+
+    @pytest.mark.parametrize("cfg, n, ranked_digest, specs_digest", [
+        (static_demo_cfg, 5,
+         "facc4c7df42a2893a17a75c59b013b024aaf8669e3988bad025ff455ee436de1",
+         "3e0b4205bc7df947e2aa7d361d27d24d7cfe663fc8ec5842c9b845fa0fd22f29"),
+        (sensor_cfg, 1,
+         "6dcb5637676cb8cad5b118e4a099f79ae138aa5c01a41d96cb6e7f8799e35898",
+         "797393256b61682276dfe0174342f691980c3035fc8f8c05a71bd9ee64cd6bcb"),
+        (branchy_cfg, 16,
+         "5879445e60084fa6bba7aef52d4720cb7e5d6287524f7f393a4ae73f539ab2b3",
+         "0f755acee9553ca1d8ae88fc89618ab629514d3b3d0e8bd064fbfa854d1410c7"),
+        (lambda: build_cfg(long_path_document()), 4,
+         "4863484b5867a249ab4c2742f5d4b6d86a94f5ed179b7795774d52939ed6d3d5",
+         "afa87d328e07f91cede17bf1fe2f170240c5ff86c2d47d7c1f641a59c5ec50b1"),
+    ], ids=["static_demo", "sensor", "branchy", "long_path"])
+    def test_static_output_pinned(self, cfg, n, ranked_digest, specs_digest):
+        """The ranked candidates, and the spec documents ``choose`` writes
+        from them for 1..8 specs under four budgets, pinned by sha256."""
+        ranked = static_candidates(cfg())
+        assert len(ranked) == n
+        pairs = repr([(c.entries, c.static_priority) for c in ranked]).encode()
+        assert hashlib.sha256(pairs).hexdigest() == ranked_digest
+        documents = "".join(
+            write_spec_document(choose("static", ranked, k, budget, 100.0, PAIR16), Mode.PAIR)
+            for k in range(1, 9)
+            for budget in (16, 64, 256, 100_000)
+        )
+        assert hashlib.sha256(documents.encode()).hexdigest() == specs_digest
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_cfgs())
+    def test_candidates_are_edge_chains_inside_one_segment(self, cfg):
+        try:
+            ranked = static_candidates(cfg)
+        except MalformedCFG:  # a cycle no back edge cuts
+            return
+        loops = find_loops(cfg)
+        segment_of = {
+            (e.src, e.dest): seg.id for seg in segment_cfg(cfg, loops) for e in seg.edges
+        }
+        block_at_end = {b.end: b.id for b in cfg.blocks.values()}
+        block_at_start = {b.start: b.id for b in cfg.blocks.values()}
+        for c in ranked:
+            blocks = [block_at_end[c.entries[0].src]] + [block_at_start[t.dest] for t in c.entries]
+            assert [block_at_end[t.src] for t in c.entries] == blocks[:-1]
+            assert len({segment_of[step] for step in zip(blocks, blocks[1:])}) == 1
+            assert len({cfg.blocks[b].function for b in blocks}) == 1
+            assert len({loops.membership[b] for b in blocks}) == 1
+
+    def test_path_cap_is_per_segment(self):
+        # a loop segment of 2**13 paths exits into a segment of 2**11 paths
+        ranked = static_candidates(build_cfg(looped_diamonds_document()))
+        assert len(ranked) == 2**13 + 2**11
+        assert [c.static_priority for c in ranked].count(1) == 2**13
+        with pytest.raises(PathExplosion, match="has 16384 paths, cap 10000"):
+            static_candidates(build_cfg(looped_diamonds_document(loop=14, exit=1)))
+
+    def test_static_candidates_find_loops_once(self, monkeypatch):
+        calls = []
+
+        def counted(cfg):
+            calls.append(cfg)
+            return find_loops(cfg)
+
+        monkeypatch.setattr(cfg_module, "find_loops", counted)
+        monkeypatch.setattr(selection, "find_loops", counted)
+        static_candidates(static_demo_cfg())
+        assert len(calls) == 1
 
 
 def rank_static_like(cands):

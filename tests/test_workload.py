@@ -74,8 +74,6 @@ def test_profile_validation():
         WorkloadProfile(seed=1, steps=-1)
     with pytest.raises(ValueError):
         WorkloadProfile(seed=1, steps=1, loop_bias=0)
-    with pytest.raises(ValueError):
-        WorkloadProfile(seed=1, steps=1, edge_weights={"jump": -1})
 
 
 def test_fixture_files(tmp_path):
