@@ -12,8 +12,9 @@ first function line names the program entry.  A CFG edge maps to the
 transfer (src block end address, dest block start address).
 
 Segmentation cuts the graph at back edges, at call and return edges, and
-at every edge whose endpoints differ in loop membership, so each segment
-is a forward-edge subgraph whose blocks share one loop context.
+at every edge whose endpoints differ in function or in loop membership, so
+each segment is a forward-edge subgraph whose blocks share one function
+and one loop context.
 """
 
 from __future__ import annotations
@@ -216,19 +217,23 @@ class Segment:
     edges: tuple[Edge, ...] = ()  # internal forward edges only
 
 
-def _is_cut(edge: Edge, loops: LoopInfo) -> bool:
-    if edge.kind in CROSS_FUNCTION_KINDS:
-        return True
-    if (edge.src, edge.dest) in loops.back_edges:
-        return True
-    return loops.membership[edge.src] != loops.membership[edge.dest]
-
-
 def segment_cfg(cfg: CFG, loops: LoopInfo | None = None) -> list[Segment]:
+    """Cut the graph at back edges, call and return edges, and edges whose
+    endpoints differ in function or loop membership; the remaining edges
+    join blocks into segments, numbered in the document order of their
+    first block."""
     loops = loops or find_loops(cfg)
-    keep = [e for e in cfg.edges if not _is_cut(e, loops)]
+    blocks, membership = cfg.blocks, loops.membership
+    keep = [
+        e
+        for e in cfg.edges
+        if e.kind not in CROSS_FUNCTION_KINDS
+        and (e.src, e.dest) not in loops.back_edges
+        and blocks[e.src].function == blocks[e.dest].function
+        and membership[e.src] == membership[e.dest]
+    ]
 
-    parent: dict[str, str] = {b: b for b in cfg.blocks}
+    parent: dict[str, str] = {b: b for b in blocks}
 
     def find(x: str) -> str:
         while parent[x] != x:
@@ -239,15 +244,15 @@ def segment_cfg(cfg: CFG, loops: LoopInfo | None = None) -> list[Segment]:
     for e in keep:
         parent[find(e.src)] = find(e.dest)
 
-    roots = sorted({find(b) for b in cfg.blocks})
-    seg_of = {b: roots.index(find(b)) for b in cfg.blocks}
-    members: dict[int, set[str]] = {i: set() for i in range(len(roots))}
-    for b, s in seg_of.items():
-        members[s].add(b)
-
+    members: dict[str, list[str]] = {}
+    for b in blocks:
+        members.setdefault(find(b), []).append(b)
+    edges: dict[str, list[Edge]] = {root: [] for root in members}
+    for e in keep:
+        edges[find(e.src)].append(e)
     return [
-        Segment(i, frozenset(blks), tuple(e for e in keep if seg_of[e.src] == i))
-        for i, blks in members.items()
+        Segment(i, frozenset(blks), tuple(edges[root]))
+        for i, (root, blks) in enumerate(members.items())
     ]
 
 
@@ -257,7 +262,6 @@ def segment_cfg(cfg: CFG, loops: LoopInfo | None = None) -> list[Segment]:
 class SegmentPath:
     blocks: tuple[str, ...]
     transfers: tuple[Transfer, ...]
-    function: str
 
 
 def enumerate_segment_paths(
@@ -303,5 +307,5 @@ def enumerate_segment_paths(
             transfers = tuple(
                 Transfer(cfg.blocks[a].end, cfg.blocks[b].start) for a, b in zip(acc, acc[1:])
             )
-            paths.append(SegmentPath(acc, transfers, cfg.blocks[acc[0]].function))
+            paths.append(SegmentPath(acc, transfers))
     return paths

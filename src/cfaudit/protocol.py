@@ -22,8 +22,8 @@ currently installed specs".
 The verifier judges a session on its payload words in one pass: a symbol
 stands for a whole installed spec, whose CFG verdict is worked out once
 per ``assemble`` call, so no symbol is expanded to judge it.  The full raw
-log is built only when ``Verdict.raw_log`` is read: each payload's words
-are expanded and joined into one word log, whose elements are decoded
+log is built only when ``Verdict.raw_log`` is read: the payloads' joined
+words are expanded once into one word log, whose elements are decoded
 when they are read.
 """
 
@@ -266,11 +266,11 @@ class Verdict:
         """The session's full raw log, expanded on first read."""
         if self.payloads is None:
             return None
-        words: list[int] = []
-        for payload in self.payloads:  # checked by ``_first_invalid`` in ``assemble``
-            log = Log.from_words(_unpack(payload, self.config, MalformedLog), self.config)
-            words += expand(log, self.specs, self.config).words
-        return Log.from_words(tuple(words), self.config)
+        # the payloads passed ``_first_invalid`` in ``assemble``, which rejects
+        # a count at the start of a payload, so their joined words expand as
+        # each payload's would
+        words = _unpack(b"".join(self.payloads), self.config, MalformedLog)
+        return expand(Log.from_words(words, self.config), self.specs, self.config)
 
 
 ACCEPT = "accept"

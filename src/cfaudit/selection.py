@@ -20,7 +20,7 @@ from heapq import heapify, heappop
 from itertools import chain, count
 from typing import Iterable, Sequence
 
-from .cfg import CFG, LoopInfo, SegmentPath, enumerate_segment_paths, find_loops, segment_cfg
+from .cfg import CFG, enumerate_segment_paths, find_loops, segment_cfg
 from .codec import blockmem_block_bytes
 from .engine import check_key
 from .errors import AuditError, ModeMismatch
@@ -310,68 +310,48 @@ def policy_select(
 
 # --- static analysis ----------------------------------------------------------
 
-def _branch_counts(cfg: CFG) -> dict[str, int]:
-    out_deg: dict[str, int] = {b: 0 for b in cfg.blocks}
+def static_candidates(cfg: CFG) -> list[Candidate]:
+    """Rank the CFG's segment paths by priority class: inside a loop, then
+    in the max-branching function, then in a function called from a loop
+    or from the max-branching function; shorter first within a class.  A
+    segment lies in one function and one loop context, so all its paths
+    share one class.  Only functions that are called (the program entry
+    counts as called) and have a branching block can rank; the segments of
+    any other function are skipped before their paths are enumerated
+    (``DEFAULT_PATH_CAP`` per segment)."""
+    loops = find_loops(cfg)
+    blocks, membership = cfg.blocks, loops.membership
+    out_degree: Counter[str] = Counter()
+    calls: list[tuple[str, str]] = []  # (calling block, called function)
     for e in cfg.edges:
-        out_deg[e.src] += 1
-    counts: dict[str, int] = {fn: 0 for fn, _ in cfg.functions}
-    for b in cfg.blocks.values():
-        if out_deg[b.id] >= 2:
-            counts[b.function] += 1
-    return counts
-
-
-def _called_functions(cfg: CFG) -> set[str]:
-    called = {cfg.entry_function}  # the program entry runs without a call edge
-    for e in cfg.edges:
+        out_degree[e.src] += 1
         if e.kind == "call":
-            called.add(cfg.blocks[e.dest].function)
-    return called
-
-
-def rank_static(cfg: CFG, loops: LoopInfo, paths: Iterable[SegmentPath]) -> list[Candidate]:
-    """Order enumerated paths by priority class: inside a loop, then in the
-    max-branching function, then in a function called from a loop or from
-    the max-branching function; shorter first within a class.  Functions
-    that are never called or have no internal branches contribute nothing.
-    """
-    branches = _branch_counts(cfg)
-    called = _called_functions(cfg)
-    max_branch_fn = max(branches, key=lambda fn: (branches[fn], fn)) if branches else None
-    called_from_hot: set[str] = set()
-    for e in cfg.edges:
-        if e.kind != "call":
-            continue
-        src_block = cfg.blocks[e.src]
-        if loops.membership[e.src] or src_block.function == max_branch_fn:
-            called_from_hot.add(cfg.blocks[e.dest].function)
+            calls.append((e.src, blocks[e.dest].function))
+    called = {cfg.entry_function, *(fn for _, fn in calls)}
+    branches = Counter(
+        b.function for b in blocks.values() if out_degree[b.id] >= 2 and b.function in called
+    )
+    hot = max(branches, key=lambda fn: (branches[fn], fn), default=None)
+    called_from_hot = {fn for src, fn in calls if membership[src] or blocks[src].function == hot}
 
     ranked: list[Candidate] = []
-    for path in paths:
-        fn = path.function
-        if fn not in called or branches.get(fn, 0) == 0:
+    for segment in segment_cfg(cfg, loops):
+        some = min(segment.blocks)
+        fn = blocks[some].function
+        if fn not in branches:
             continue
-        if all(loops.membership[b] for b in path.blocks):
+        if membership[some]:
             priority: int | None = 1
-        elif fn == max_branch_fn:
+        elif fn == hot:
             priority = 2
         elif fn in called_from_hot:
             priority = 3
         else:
             priority = None
-        ranked.append(Candidate(path.transfers, 0, priority))
+        paths = enumerate_segment_paths(segment, cfg)
+        ranked += (Candidate(path.transfers, 0, priority) for path in paths)
     ranked.sort(key=lambda c: (c.static_priority or 4, c.length, c.entries))
     return ranked
-
-
-def static_candidates(cfg: CFG) -> list[Candidate]:
-    """Full static pipeline: find the loops once, segment, enumerate each
-    segment's paths (``DEFAULT_PATH_CAP`` per segment), rank."""
-    loops = find_loops(cfg)
-    paths = chain.from_iterable(
-        enumerate_segment_paths(seg, cfg) for seg in segment_cfg(cfg, loops)
-    )
-    return rank_static(cfg, loops, paths)
 
 
 def _shares_pair(a: tuple, b: tuple) -> bool:

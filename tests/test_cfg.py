@@ -65,6 +65,23 @@ def looped_diamonds_document(loop=13, exit=11):
     return "\n".join(lines) + "\n"
 
 
+def dead_diamonds_document(dead=14):
+    """``main``: one diamond.  ``dead``, which nothing calls: ``dead``
+    stacked diamonds, one segment of ``2**dead`` paths."""
+    main = ["a", "t", "f", "j"]
+    splits = [f"d{i}" for i in range(dead + 1)]
+    arms = [f"{a}{arm}" for a in splits[:-1] for arm in "tf"]
+    lines = ["function main a", "function dead d0"]
+    lines += [f"block {b} {0x400 + 4 * i:04x} {0x402 + 4 * i:04x} main" for i, b in enumerate(main)]
+    lines += [f"block {b} {0x1000 + 4 * i:04x} {0x1002 + 4 * i:04x} dead"
+              for i, b in enumerate(splits + arms)]
+    lines += ["edge a t cond_true", "edge a f cond_false", "edge t j jump", "edge f j jump"]
+    for a, b in zip(splits, splits[1:]):
+        lines += [f"edge {a} {a}t cond_true", f"edge {a} {a}f cond_false",
+                  f"edge {a}t {b} jump", f"edge {a}f {b} jump"]
+    return "\n".join(lines) + "\n"
+
+
 # b and c jump to each other and each is entered from a, so neither
 # dominates the other: no back edge cuts the cycle and it stays in a segment
 IRREDUCIBLE_DOCUMENT = """\

@@ -25,7 +25,7 @@ from cfaudit.model import MAX_SPEC_LEN, EngineConfig, Mode, SubPathSpec, Transfe
 from cfaudit.monitor import AccessEvent
 from cfaudit.selection import estimate_savings
 
-from test_cfg import long_path_document, looped_diamonds_document
+from test_cfg import dead_diamonds_document, long_path_document, looped_diamonds_document
 
 A, B, D = 0x0400, 0x0500, 0x0600
 CONFIG = EngineConfig()
@@ -161,6 +161,19 @@ class TestSelect:
         assert run("select", "--policy", "static", "--cfg", cfg, "-o", spec_out) == 0
         _, specs = parse_spec_document(spec_out.read_text())
         assert specs
+        assert capsys.readouterr().err == ""
+
+    def test_static_skips_uncalled_functions(self, tmp_path, capsys):
+        # the uncalled ``dead`` has 2**14 paths, over the cap, and is never listed
+        cfg = tmp_path / "dead.cfg"
+        cfg.write_text(dead_diamonds_document())
+        spec_out = tmp_path / "static.specs"
+        assert run("select", "--policy", "static", "--cfg", cfg, "-o", spec_out) == 0
+        _, specs = parse_spec_document(spec_out.read_text())
+        assert [s.entries for s in specs] == [
+            (Transfer(0x0402, 0x0404), Transfer(0x0406, 0x040C)),
+            (Transfer(0x0402, 0x0408), Transfer(0x040A, 0x040C)),
+        ]
         assert capsys.readouterr().err == ""
 
     def test_select_budget_respected(self, workdir, tmp_path):

@@ -60,7 +60,7 @@ from cfaudit.selection import (
 from cfaudit.workload import generate_trace
 
 from conftest import CONFIG_GRID, address_pool, blockmem_bytes, random_specs, random_trace
-from test_cfg import long_path_document, looped_diamonds_document
+from test_cfg import dead_diamonds_document, long_path_document, looped_diamonds_document
 
 PAIR16 = EngineConfig()
 DEST16 = EngineConfig(mode=Mode.DEST)
@@ -556,9 +556,9 @@ class TestSelect:
 @st.composite
 def random_cfgs(draw):
     """1-3 functions of 1-8 blocks each.  Each block has 0-3 out-edges: a
-    jump, branch or fallthrough to a block of its own function (one in four
-    back to itself or an earlier block), a call to a function entry, or a
-    return to any block."""
+    jump, branch or fallthrough to any block (one in eight) or else to a
+    block of its own function (one in four back to itself or an earlier
+    block), a call to a function entry, or a return to any block."""
     functions, blocks = [], {}
     for f in range(draw(st.integers(1, 3))):
         ids = [f"f{f}b{i}" for i in range(draw(st.integers(1, 8)))]
@@ -573,7 +573,7 @@ def random_cfgs(draw):
         for kind in draw(st.lists(st.sampled_from(EDGE_KINDS), max_size=3)):
             if kind == "call":
                 dests = [entry for _, entry in functions]
-            elif kind == "return":
+            elif kind == "return" or draw(st.integers(0, 7)) == 0:
                 dests = list(blocks)
             else:
                 dests = earlier if not later or draw(st.integers(0, 3)) == 0 else later
@@ -699,6 +699,18 @@ class TestStatic:
         assert [c.static_priority for c in ranked].count(1) == 2**13
         with pytest.raises(PathExplosion, match="has 16384 paths, cap 10000"):
             static_candidates(build_cfg(looped_diamonds_document(loop=14, exit=1)))
+
+    @pytest.mark.parametrize("dead", [2, 14])
+    def test_uncalled_function_is_neither_enumerated_nor_hot(self, dead):
+        # ``dead`` has the most branching blocks, and at 14 diamonds more
+        # paths than the cap, but nothing calls it: it is not enumerated,
+        # and ``main`` is the max-branching function of class 2
+        cfg = build_cfg(dead_diamonds_document(dead))
+        b = cfg.blocks
+        assert [(c.entries, c.static_priority) for c in static_candidates(cfg)] == [
+            ((Transfer(b["a"].end, b[arm].start), Transfer(b[arm].end, b["j"].start)), 2)
+            for arm in "tf"
+        ]
 
     def test_static_candidates_find_loops_once(self, monkeypatch):
         calls = []
