@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import cfg as cfgmod
 from . import codec, files, metrics, protocol, selection, workload
-from .engine import compress_trace, expand
+from .engine import Engine, expand
 from .errors import AuditError
 from .model import EngineConfig, LogFormat, Mode, Transfer
 from .monitor import Region, RegionMap, run_monitor
@@ -86,10 +86,14 @@ def _write_report(args, report: metrics.MetricsReport, default_base: str) -> Non
 def _cmd_compress(args) -> int:
     doc_mode, doc_width, trace = files.parse_trace_document(Path(args.trace).read_text())
     config, specs = _load_specs(args, _config(args, doc_mode, doc_width))
-    log = compress_trace(trace, specs, config)
+    engine = Engine(specs, config)
+    engine.feed(trace)
+    log = engine.finalize()
     data = codec.serialize_log(log, config, _FORMATS[args.format])
     Path(args.out).write_bytes(data)
-    report = metrics.build_report(Path(args.trace).stem, trace, specs, config)
+    report = metrics.build_report(
+        Path(args.trace).stem, trace, specs, config, compressed=(log, engine.hits)
+    )
     _write_report(args, report, args.out)
     return 0
 

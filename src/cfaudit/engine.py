@@ -23,10 +23,10 @@ row mapping a transfer to ``(next state, winning spec index or -1)``.  A
 row entry is computed by the per-detector rule above the first time that
 state meets that transfer, and looked up ever after.  A completion always
 leads to the idle state (number 0), and so does a transfer outside every
-spec's alphabet, which never enters the table; the engine only remembers
-that it passed its checks.  Range and mode checks therefore run only when
-a row or that memory lacks the transfer: every table entry is a spec
-entry, checked when the spec set was installed.
+spec's alphabet: it enters each row that meets it as the idle entry, so
+the loop pays one row lookup per transfer.  The engine also remembers
+which outside transfers passed the range and mode checks, so such a
+transfer is still checked once per engine, not once per row.
 
 The pending log is a buffer of memory-image words, as the device writes
 its evidence buffer: a raw transfer is its ``src, dest`` words (its
@@ -173,7 +173,6 @@ class Engine:
         drops = self._drops
         ids = self._ids
         hits = self.hits
-        outside = self._outside
         tag = self._hi
         first_count = tag | MIN_REPEAT_COUNT
         full = tag | MAX_REPEAT_COUNT
@@ -199,7 +198,7 @@ class Engine:
                 key = t if pair else t.dest
                 entry = row.get(key)
                 if entry is None:
-                    entry = _IDLE if key in outside else self._miss(state, key)
+                    entry = self._miss(state, key)
                 state, winner = entry
                 if winner < 0:
                     push(key)
@@ -291,11 +290,16 @@ class Engine:
         return out
 
     def _miss(self, state: int, item) -> tuple[int, int]:
-        """Check a transfer the table does not know in ``state``, then add
-        its entry (or, outside the alphabet, send it to idle)."""
-        check_key(item, self._pair, self._lo, self._hi)
-        if item not in self._alphabet:
-            self._outside.add(item)
+        """Add the entry of a transfer the table does not know in ``state``,
+        checking it first unless it is an outside transfer checked before;
+        an outside transfer's entry sends it to idle."""
+        outside = self._outside
+        if item not in outside:
+            check_key(item, self._pair, self._lo, self._hi)
+            if item not in self._alphabet:
+                outside.add(item)
+        if item in outside:
+            self._rows[state][item] = _IDLE
             return _IDLE
         ptrs = list(self._states[state])
         winner = -1

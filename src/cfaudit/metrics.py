@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .codec import serialize_blockmem
 from .engine import Engine, slice_compress
-from .model import EngineConfig, SubPathSpec, Transfer
+from .model import EngineConfig, Log, SubPathSpec, Transfer
 
 CSV_COLUMNS = (
     "label",
@@ -53,16 +53,23 @@ def build_report(
     specs: Sequence[SubPathSpec],
     config: EngineConfig,
     include_baseline: bool = False,
+    compressed: tuple[Log, dict[int, int]] | None = None,
 ) -> MetricsReport:
+    """The report of ``trace`` under ``specs``.  ``compressed``, the
+    unsliced log of that trace and its spec hits (an ``Engine``'s
+    ``finalize()`` and ``hits`` after feeding it), stands in for the
+    report's own unsliced engine pass."""
     # the engine pass range- and mode-checks every transfer, so the raw
     # size is plain arithmetic
     raw_bytes = len(trace) * config.raw_element_bytes
-    engine = Engine(specs, config)
-    engine.feed(trace)
-    compressed = engine.finalize()
+    if compressed is None:
+        engine = Engine(specs, config)
+        engine.feed(trace)
+        compressed = engine.finalize(), engine.hits
+    log, hits = compressed
     blockmem = len(serialize_blockmem(specs, config).data)
     reduction = (
-        0.0 if raw_bytes == 0 else 100.0 * (1 - compressed.size_bytes / raw_bytes)
+        0.0 if raw_bytes == 0 else 100.0 * (1 - log.size_bytes / raw_bytes)
     )
     slice_count = len(slice_compress(trace, specs, config))
     baseline = len(slice_compress(trace, (), config)) if include_baseline else None
@@ -71,13 +78,13 @@ def build_report(
         mode=config.mode.value,
         addr_width=config.addr_width,
         raw_bytes=raw_bytes,
-        compressed_bytes=compressed.size_bytes,
+        compressed_bytes=log.size_bytes,
         blockmem_bytes=blockmem,
-        total_bytes=compressed.size_bytes + blockmem,
+        total_bytes=log.size_bytes + blockmem,
         reduction_pct=reduction,
         slice_count=slice_count,
         slice_count_baseline=baseline,
-        spec_hits=dict(engine.hits),
+        spec_hits=dict(hits),
     )
 
 

@@ -385,17 +385,37 @@ def _first_invalid(
     a ``cfg`` edge (None if every one is, or without ``cfg``), read from the
     memory-image words in one pass without expanding a symbol.  Raises
     ``MalformedLog`` wherever ``deserialize_log`` or ``expand`` would raise,
-    in any payload, so a later malformed payload outweighs an invalid path."""
+    in any payload, so a later malformed payload outweighs an invalid path.
+
+    In pair mode an edge is judged as one int, its code ``src << addr_width
+    | dest``, so a raw pair hashes one int and builds no tuple.  Only edges
+    between address words, both ends in ``[min_code_addr, counter_tag)``,
+    are coded: no other pair can be read from a payload, and an end past
+    the word would make its code another pair's (``0x0400 << 16 | 0x10500``
+    is ``0x0401 << 16 | 0x0500``).  The session's spec entries are address
+    words, checked when the session opened, and are judged on the same
+    codes."""
     pair = config.mode is Mode.PAIR
     tag = config.counter_tag
     lo = config.min_code_addr
-    edges = None if cfg is None else cfg.valid_pairs() if pair else cfg.valid_dests()
+    width = config.addr_width
+    if cfg is None:
+        edges = None
+    elif pair:
+        edges = {
+            src << width | dest
+            for src, dest in cfg.valid_pairs()
+            if lo <= src < tag and lo <= dest < tag
+        }
+    else:
+        edges = cfg.valid_dests()
     # per spec id: its length and its first entry that is no CFG edge
     spans: dict[int, tuple[int, int | None]] = {}
     for spec in specs:
         bad = None
         if edges is not None:
-            bad = next((i for i, e in enumerate(spec.entries) if e not in edges), None)
+            keys = (e.src << width | e.dest for e in spec.entries) if pair else spec.entries
+            bad = next((i for i, k in enumerate(keys) if k not in edges), None)
         spans[spec.id] = (spec.length, bad)
     first: int | None = None
     check = edges is not None  # until the first invalid transfer is found
@@ -404,7 +424,21 @@ def _first_invalid(
         words = iter(_unpack(payload, config, MalformedLog))
         length = 0  # of the symbol directly before, in this payload
         for v in words:
-            if v & tag:
+            # most words are addresses, so that class is tested first
+            if lo <= v < tag:
+                if pair:
+                    d = next(words, None)
+                    if d is None:
+                        raise MalformedLog("truncated pair")
+                    if not lo <= d < tag:
+                        raise MalformedLog("pair destination is not an address word")
+                    if check and (v << width | d) not in edges:
+                        first, check = offset, False
+                elif check and v not in edges:
+                    first, check = offset, False
+                offset += 1
+                length = 0
+            elif v & tag:
                 count = v & (tag - 1)
                 if not length:
                     raise MalformedLog("repeat count not preceded by a symbol")
@@ -422,21 +456,8 @@ def _first_invalid(
                 if check and bad is not None:
                     first, check = offset + bad, False
                 offset += length
-            elif v < lo:
-                raise MalformedLog(f"word {v:#x} falls in the reserved gap")
             else:
-                if pair:
-                    d = next(words, None)
-                    if d is None:
-                        raise MalformedLog("truncated pair")
-                    if not lo <= d < tag:
-                        raise MalformedLog("pair destination is not an address word")
-                    if check and (v, d) not in edges:
-                        first, check = offset, False
-                elif check and v not in edges:
-                    first, check = offset, False
-                offset += 1
-                length = 0
+                raise MalformedLog(f"word {v:#x} falls in the reserved gap")
     return first
 
 

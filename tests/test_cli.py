@@ -13,7 +13,7 @@ from cfaudit.codec import (
     serialize_log,
     write_spec_document,
 )
-from cfaudit.engine import compress_trace
+from cfaudit.engine import Engine, compress_trace
 from cfaudit.files import (
     parse_trace_document,
     save_key,
@@ -56,6 +56,25 @@ class TestCompressExpand:
         report = json.loads((workdir / "out.bin.report.json").read_text())
         assert report["total_bytes"] == report["compressed_bytes"] + report["blockmem_bytes"]
         assert "reduction_pct" in capsys.readouterr().out
+
+    def test_compress_runs_two_engine_passes(self, tmp_path, monkeypatch):
+        fixtures = write_fixture_files(tmp_path / "fx")
+        spec_out = tmp_path / "top.specs"
+        assert run("select", "--policy", "top", "--trace", fixtures["branchy.trace"],
+                   "-o", spec_out) == 0
+        feeds = []
+        real_feed = Engine.feed
+
+        def counting_feed(self, *args, **kwargs):
+            feeds.append(len(self.specs))
+            return real_feed(self, *args, **kwargs)
+
+        monkeypatch.setattr(Engine, "feed", counting_feed)
+        assert run("compress", fixtures["branchy.trace"], "--specs", spec_out,
+                   "-o", tmp_path / "c.bin") == 0
+        # the log written and the report's unsliced figures come from one
+        # pass; the report's sliced pass is the other
+        assert len(feeds) == 2 and all(feeds)
 
     def test_compress_then_expand_round_trip(self, workdir):
         out = workdir / "out.bin"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfaudit import fixtures, protocol
+from cfaudit.cfg import build_cfg
 from cfaudit.codec import deserialize_log, encode_raw, serialize_log
 from cfaudit.engine import expand
 from cfaudit.errors import (
@@ -607,6 +608,21 @@ def test_rogue_edge_index_on_fixture_sessions(name):
         assert verdict.outcome is Outcome.AUTHENTIC_BUT_INVALID_PATH
         assert verdict.invalid_index == at
         assert verdict.raw_log == encode_raw(rogue, CONFIG)
+
+
+def test_edge_past_the_address_range_does_not_alias_a_read_pair():
+    # 0x0400 << 16 | 0x10500 == 0x0401 << 16 | 0x0500: an edge whose end
+    # lies past the 16-bit address range must not vouch for another pair
+    graph = build_cfg(
+        "function main b0\n"
+        "block b0 0x0400 0x0400 main\n"
+        "block b1 0x10500 0x10500 main\n"
+        "edge b0 b1 jump\n"
+    )
+    assert (0x0401, 0x0500) not in graph.valid_pairs()
+    verdict = protocol.run_session(KEY, EngineConfig(), (), [Transfer(0x0401, 0x0500)], graph)
+    assert verdict.outcome is Outcome.AUTHENTIC_BUT_INVALID_PATH
+    assert verdict.invalid_index == 0
 
 
 def test_raw_log_is_expanded_when_first_read(monkeypatch):
