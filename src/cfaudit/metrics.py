@@ -58,7 +58,12 @@ def build_report(
     """The report of ``trace`` under ``specs``.  ``compressed``, the
     unsliced log of that trace and its spec hits (an ``Engine``'s
     ``finalize()`` and ``hits`` after feeding it), stands in for the
-    report's own unsliced engine pass."""
+    report's own unsliced engine pass.
+
+    ``include_baseline`` adds the slice count of the raw log, the count a
+    prover without specs would send.  It is counted, not compressed: a raw
+    slice holds ``slice_size_bytes // raw_element_bytes`` transfers (the
+    engine's cut rule) and an empty trace still emits one slice."""
     # the engine pass range- and mode-checks every transfer, so the raw
     # size is plain arithmetic
     raw_bytes = len(trace) * config.raw_element_bytes
@@ -71,8 +76,13 @@ def build_report(
     reduction = (
         0.0 if raw_bytes == 0 else 100.0 * (1 - log.size_bytes / raw_bytes)
     )
+    # this pass raises SliceTooSmall on a budget below one raw element, so
+    # the divisor below is at least 1
     slice_count = len(slice_compress(trace, specs, config))
-    baseline = len(slice_compress(trace, (), config)) if include_baseline else None
+    baseline = None
+    if include_baseline:
+        per_slice = config.slice_size_bytes // config.raw_element_bytes
+        baseline = max(1, -(-len(trace) // per_slice))
     return MetricsReport(
         label=label,
         mode=config.mode.value,

@@ -291,6 +291,9 @@ class Verifier:
         self._final_seen = False
         self._image_digest: bytes | None = None
         self.rejections: list[tuple[int | None, str]] = []
+        # the last CFG judged against and its edges as ``_first_invalid``
+        # reads them, coded once per CFG object
+        self._coded: tuple[CFG, frozenset[int]] | None = None
 
     def open_session(
         self,
@@ -357,8 +360,11 @@ class Verifier:
             return Verdict(Outcome.INCOMPLETE, reason="final slice not received")
         if expected_digest is not None and self._image_digest != expected_digest:
             return Verdict(Outcome.AUTH_FAILURE, reason="bad_digest")
+        if cfg is not None and (self._coded is None or self._coded[0] is not cfg):
+            self._coded = cfg, _coded_edges(cfg, self.config)
+        edges = None if cfg is None else self._coded[1]
         try:
-            bad = _first_invalid(self._payloads, self.session_specs, self.config, cfg)
+            bad = _first_invalid(self._payloads, self.session_specs, self.config, edges)
         except MalformedLog:
             return Verdict(
                 Outcome.AUTHENTIC_BUT_INVALID_PATH,
@@ -375,40 +381,46 @@ class Verifier:
         )
 
 
+def _coded_edges(cfg: CFG, config: EngineConfig) -> frozenset[int]:
+    """``cfg``'s edges as ``_first_invalid`` judges them.
+
+    In pair mode an edge is one int, its code ``src << addr_width | dest``,
+    so a raw pair hashes one int and builds no tuple.  Only edges between
+    address words, both ends in ``[min_code_addr, counter_tag)``, are
+    coded: no other pair can be read from a payload, and an end past the
+    word would make its code another pair's (``0x0400 << 16 | 0x10500`` is
+    ``0x0401 << 16 | 0x0500``).  In dest mode an edge is its destination."""
+    if config.mode is not Mode.PAIR:
+        return cfg.valid_dests()
+    tag = config.counter_tag
+    lo = config.min_code_addr
+    width = config.addr_width
+    return frozenset(
+        src << width | dest
+        for src, dest in cfg.valid_pairs()
+        if lo <= src < tag and lo <= dest < tag
+    )
+
+
 def _first_invalid(
     payloads: Sequence[bytes],
     specs: Sequence[SubPathSpec],
     config: EngineConfig,
-    cfg: CFG | None,
+    edges: frozenset[int] | None,
 ) -> int | None:
     """Raw-transfer index of the first transfer in ``payloads`` that is not
-    a ``cfg`` edge (None if every one is, or without ``cfg``), read from the
-    memory-image words in one pass without expanding a symbol.  Raises
-    ``MalformedLog`` wherever ``deserialize_log`` or ``expand`` would raise,
-    in any payload, so a later malformed payload outweighs an invalid path.
+    one of ``edges``, a CFG's ``_coded_edges`` (None if every one is, or
+    without ``edges``), read from the memory-image words in one pass
+    without expanding a symbol.  Raises ``MalformedLog`` wherever
+    ``deserialize_log`` or ``expand`` would raise, in any payload, so a
+    later malformed payload outweighs an invalid path.
 
-    In pair mode an edge is judged as one int, its code ``src << addr_width
-    | dest``, so a raw pair hashes one int and builds no tuple.  Only edges
-    between address words, both ends in ``[min_code_addr, counter_tag)``,
-    are coded: no other pair can be read from a payload, and an end past
-    the word would make its code another pair's (``0x0400 << 16 | 0x10500``
-    is ``0x0401 << 16 | 0x0500``).  The session's spec entries are address
-    words, checked when the session opened, and are judged on the same
-    codes."""
+    The session's spec entries are address words, checked when the session
+    opened, and are judged on the same codes as raw transfers."""
     pair = config.mode is Mode.PAIR
     tag = config.counter_tag
     lo = config.min_code_addr
     width = config.addr_width
-    if cfg is None:
-        edges = None
-    elif pair:
-        edges = {
-            src << width | dest
-            for src, dest in cfg.valid_pairs()
-            if lo <= src < tag and lo <= dest < tag
-        }
-    else:
-        edges = cfg.valid_dests()
     # per spec id: its length and its first entry that is no CFG edge
     spans: dict[int, tuple[int, int | None]] = {}
     for spec in specs:

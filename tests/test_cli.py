@@ -277,6 +277,24 @@ class TestSimulate:
         report = json.loads((tmp_path / "sim.json").read_text())
         assert report["slice_count"] < report["slice_count_baseline"]
 
+    def test_simulate_runs_three_engine_passes(self, tmp_path, monkeypatch):
+        fixtures = write_fixture_files(tmp_path / "fx")
+        feeds = []
+        real_feed = Engine.feed
+
+        def counting_feed(self, *args, **kwargs):
+            feeds.append(len(self.specs))
+            return real_feed(self, *args, **kwargs)
+
+        monkeypatch.setattr(Engine, "feed", counting_feed)
+        assert run("simulate", fixtures["branchy.cfg"], "--key", fixtures["demo.key"],
+                   "--policy", "top", "--report", tmp_path / "sim.json") == 0
+        # one no-spec feed encodes the trace raw as the selection's prior;
+        # then the prover's sliced pass and the report's unsliced and sliced
+        # passes: the report's baseline is counted, not compressed
+        assert feeds[0] == 0 and len(feeds) == 4 and all(feeds[1:])
+        assert json.loads((tmp_path / "sim.json").read_text())["slice_count_baseline"]
+
     def test_fault_injection_fails_auth(self, tmp_path, capsys):
         fixtures = write_fixture_files(tmp_path / "fx")
         code = run("simulate", fixtures["sensor.cfg"], "--key", fixtures["demo.key"],

@@ -1,9 +1,11 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from cfaudit.codec import encode_raw
-from cfaudit.errors import AddressOutOfRange, ModeMismatch
+from cfaudit.engine import Engine, slice_compress
+from cfaudit.errors import AddressOutOfRange, ModeMismatch, SliceTooSmall
 from cfaudit.metrics import (
     CSV_COLUMNS,
     build_report,
@@ -93,3 +95,46 @@ def test_bad_transfer_raises(config, bad, error, with_specs, at):
     trace = TRACE[:at] + [bad] + TRACE[at:]
     with pytest.raises(error):
         build_report("t", trace, [spec] if with_specs else [], config, include_baseline=True)
+
+
+@pytest.mark.parametrize("config", CONFIG_GRID)
+def test_baseline_count_is_the_no_spec_engine_count(config):
+    # the baseline is counted by arithmetic; a no-spec engine pass must agree
+    # at every budget edge and at every trace length around a slice boundary
+    rng = random.Random(config.addr_width + len(config.mode.value))
+    raw, word = config.raw_element_bytes, config.word_bytes
+    for size in (raw, raw + 1, 2 * raw - 1, 2 * raw, 3 * raw + word, 256):
+        sized = replace(config, slice_size_bytes=size)
+        per_slice = size // raw
+        for n in (0, 1, 3 * per_slice - 1, 3 * per_slice, 3 * per_slice + 1):
+            trace = random_trace(rng, sized, n)
+            specs = random_specs(rng, sized, trace)
+            rep = build_report("t", trace, specs, sized, include_baseline=True)
+            assert rep.slice_count_baseline == len(slice_compress(trace, (), sized)), (size, n)
+
+
+@pytest.mark.parametrize("config", CONFIG_GRID)
+@pytest.mark.parametrize("with_specs", [False, True])
+@pytest.mark.parametrize("n", [0, 5])
+def test_baseline_on_a_budget_below_one_raw_element_raises(config, with_specs, n):
+    sized = replace(config, slice_size_bytes=config.raw_element_bytes - 1)
+    trace = random_trace(random.Random(n), sized, n)
+    spec = SPEC if config.mode is Mode.PAIR else SubPathSpec(1, (B, D))
+    specs = [spec] if with_specs else []
+    with pytest.raises(SliceTooSmall):
+        build_report("t", trace, specs, sized, include_baseline=True)
+
+
+def test_report_with_baseline_runs_two_spec_passes(monkeypatch):
+    feeds = []
+    real_feed = Engine.feed
+
+    def counting_feed(self, *args, **kwargs):
+        feeds.append(len(self.specs))
+        return real_feed(self, *args, **kwargs)
+
+    monkeypatch.setattr(Engine, "feed", counting_feed)
+    rep = build_report("t", TRACE, [SPEC], CONFIG, include_baseline=True)
+    # the unsliced pass and the sliced pass; the baseline takes none
+    assert feeds == [1, 1]
+    assert rep.slice_count_baseline == 1

@@ -625,6 +625,34 @@ def test_edge_past_the_address_range_does_not_alias_a_read_pair():
     assert verdict.invalid_index == 0
 
 
+def _line_cfg(*edges):
+    """A CFG of one-address blocks at A, B, D and G and the given edges."""
+    names = {A: "a", B: "b", D: "d", G: "g"}
+    return build_cfg(
+        "function main a\n"
+        + "".join(f"block {n} {addr:#x} {addr:#x} main\n" for addr, n in names.items())
+        + "".join(f"edge {names[s]} {names[d]} jump\n" for s, d in edges)
+    )
+
+
+@pytest.mark.parametrize("config, spec", [(CONFIG, SPEC), (DEST_CONFIG, DEST_SPEC)])
+def test_one_verifier_judges_each_assemble_against_its_own_cfg(config, spec):
+    # the verifier codes a CFG's edges once and keeps them; a different CFG
+    # must be coded afresh, and going back must not keep the other's edges
+    full = _line_cfg((A, B), (B, D), (D, G))
+    no_b_to_d = _line_cfg((A, B), (D, G))
+    verifier, results, _ = session(specs=(spec,), config=config)
+    assert all(r == ACCEPT for r in results)
+    verdicts = [verifier.assemble(cfg=g) for g in (full, no_b_to_d, full, None, no_b_to_d)]
+    assert [(v.outcome, v.invalid_index) for v in verdicts] == [
+        (Outcome.AUTHENTIC_AND_VALID, None),
+        (Outcome.AUTHENTIC_BUT_INVALID_PATH, 1),  # inside the first spec match
+        (Outcome.AUTHENTIC_AND_VALID, None),
+        (Outcome.AUTHENTIC_AND_VALID, None),
+        (Outcome.AUTHENTIC_BUT_INVALID_PATH, 1),
+    ]
+
+
 def test_raw_log_is_expanded_when_first_read(monkeypatch):
     calls = {"deserialize_log": 0, "expand": 0, "validate_against_cfg": 0}
 
