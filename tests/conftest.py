@@ -6,6 +6,7 @@ import random
 
 from hypothesis import strategies as st
 
+from cfaudit.cfg import CFG, EDGE_KINDS, Block, Edge
 from cfaudit.codec import serialize_blockmem
 from cfaudit.model import (
     EngineConfig,
@@ -125,3 +126,31 @@ def spec_sets(config: EngineConfig, max_specs: int = 8, max_len: int = 16):
     return st.lists(entries, min_size=0, max_size=max_specs, unique_by=lambda e: e).map(
         lambda groups: [SubPathSpec(i + 1, g) for i, g in enumerate(groups)]
     )
+
+
+@st.composite
+def random_cfgs(draw):
+    """1-3 functions of 1-8 blocks each.  Each block has 0-3 out-edges: a
+    jump, branch or fallthrough to any block (one in eight) or else to a
+    block of its own function (one in four back to itself or an earlier
+    block), a call to a function entry, or a return to any block."""
+    functions, blocks = [], {}
+    for f in range(draw(st.integers(1, 3))):
+        ids = [f"f{f}b{i}" for i in range(draw(st.integers(1, 8)))]
+        functions.append((f"f{f}", ids[0]))
+        for b in ids:
+            start = 0x0400 + 4 * len(blocks)
+            blocks[b] = Block(b, start, start + 2, f"f{f}")
+    edges = []
+    for b in blocks.values():
+        own = [x for x in blocks if blocks[x].function == b.function]
+        earlier, later = own[: own.index(b.id) + 1], own[own.index(b.id) + 1 :]
+        for kind in draw(st.lists(st.sampled_from(EDGE_KINDS), max_size=3)):
+            if kind == "call":
+                dests = [entry for _, entry in functions]
+            elif kind == "return" or draw(st.integers(0, 7)) == 0:
+                dests = list(blocks)
+            else:
+                dests = earlier if not later or draw(st.integers(0, 3)) == 0 else later
+            edges.append(Edge(b.id, draw(st.sampled_from(dests)), kind))
+    return CFG(tuple(functions), blocks, tuple(edges))

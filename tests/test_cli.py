@@ -351,6 +351,13 @@ class TestBadInput:
                          fixtures["demo.key"], "--steps", -1)
         assert "steps" in err
 
+    @pytest.mark.parametrize("bias", ["inf", "nan"])
+    def test_simulate_non_finite_loop_bias(self, tmp_path, capsys, bias):
+        fixtures = write_fixture_files(tmp_path / "fx")
+        err = self.check(capsys, "simulate", fixtures["sensor.cfg"], "--key",
+                         fixtures["demo.key"], f"--loop-bias={bias}")
+        assert len(err.splitlines()) == 1 and "loop_bias" in err
+
     def test_simulate_non_hex_key(self, tmp_path, capsys):
         fixtures = write_fixture_files(tmp_path / "fx")
         self.check(capsys, "simulate", fixtures["sensor.cfg"], "--key", fixtures["sensor.cfg"],

@@ -12,15 +12,7 @@ from hypothesis import strategies as st
 
 from cfaudit import cfg as cfg_module
 from cfaudit import selection
-from cfaudit.cfg import (
-    CFG,
-    EDGE_KINDS,
-    Block,
-    Edge,
-    build_cfg,
-    find_loops,
-    segment_cfg,
-)
+from cfaudit.cfg import build_cfg, find_loops, segment_cfg
 from cfaudit.codec import blockmem_block_bytes, encode_raw, write_spec_document
 from cfaudit.errors import AddressOutOfRange, MalformedCFG, ModeMismatch, PathExplosion
 from cfaudit.fixtures import (
@@ -59,7 +51,14 @@ from cfaudit.selection import (
 )
 from cfaudit.workload import generate_trace
 
-from conftest import CONFIG_GRID, address_pool, blockmem_bytes, random_specs, random_trace
+from conftest import (
+    CONFIG_GRID,
+    address_pool,
+    blockmem_bytes,
+    random_cfgs,
+    random_specs,
+    random_trace,
+)
 from test_cfg import dead_diamonds_document, long_path_document, looped_diamonds_document
 
 PAIR16 = EngineConfig()
@@ -551,34 +550,6 @@ class TestSelect:
             specs = policy_select(pool, budget, DEST16)
             if specs:
                 assert blockmem_bytes(specs, DEST16) <= budget
-
-
-@st.composite
-def random_cfgs(draw):
-    """1-3 functions of 1-8 blocks each.  Each block has 0-3 out-edges: a
-    jump, branch or fallthrough to any block (one in eight) or else to a
-    block of its own function (one in four back to itself or an earlier
-    block), a call to a function entry, or a return to any block."""
-    functions, blocks = [], {}
-    for f in range(draw(st.integers(1, 3))):
-        ids = [f"f{f}b{i}" for i in range(draw(st.integers(1, 8)))]
-        functions.append((f"f{f}", ids[0]))
-        for b in ids:
-            start = 0x0400 + 4 * len(blocks)
-            blocks[b] = Block(b, start, start + 2, f"f{f}")
-    edges = []
-    for b in blocks.values():
-        own = [x for x in blocks if blocks[x].function == b.function]
-        earlier, later = own[: own.index(b.id) + 1], own[own.index(b.id) + 1 :]
-        for kind in draw(st.lists(st.sampled_from(EDGE_KINDS), max_size=3)):
-            if kind == "call":
-                dests = [entry for _, entry in functions]
-            elif kind == "return" or draw(st.integers(0, 7)) == 0:
-                dests = list(blocks)
-            else:
-                dests = earlier if not later or draw(st.integers(0, 3)) == 0 else later
-            edges.append(Edge(b.id, draw(st.sampled_from(dests)), kind))
-    return CFG(tuple(functions), blocks, tuple(edges))
 
 
 class TestStatic:
