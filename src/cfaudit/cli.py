@@ -174,7 +174,10 @@ def _cmd_simulate(args) -> int:
     if args.inject:
         addr_part, _, idx_part = args.inject.partition("@")
         src_s, _, dest_s = addr_part.partition(":")
-        trace.insert(int(idx_part or 0), Transfer(int(src_s, 16), int(dest_s, 16)))
+        index = int(idx_part or 0)
+        if not 0 <= index <= len(trace):
+            raise AuditError(f"--inject index {index} outside 0..{len(trace)}")
+        trace.insert(index, Transfer(int(src_s, 16), int(dest_s, 16)))
 
     if args.specs:
         _, specs = _load_specs(args, config)

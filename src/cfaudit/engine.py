@@ -58,6 +58,17 @@ one.  The run's wins are added to ``hits`` once and the iterator skips
 the run.  Any other input is stepped transfer by transfer; both give the
 same words and hits.
 
+The replay's comparisons are fastest when equal addresses are one object,
+as in a generated trace, whose addresses are the CFG's own ints.  Specs
+often hold other objects (block memory decodes fresh ints), so when the
+table first matches a transfer equal to a spec entry but not the same
+object, the engine rebuilds its copies of that spec's body and block with
+the transfer in place of every entry equal to it.  This happens once per
+table entry; the caller's specs are never changed, and words and hits
+are not, since the objects are equal.  A parsed trace has a fresh int per
+address and stays compared by value: interning its addresses would cost
+a parse more than it saves a pass.
+
 An engine with no specs writes the raw memory image, the log a plain
 auditing prover sends, so it needs no table.  ``feed`` then reads a
 generator into a list (one that raises leaves the engine as it was) and
@@ -306,6 +317,8 @@ class Engine:
         for k, pattern in enumerate(self._patterns):
             p = ptrs[k]
             if pattern[p] == item:
+                if pattern[p] is not item:
+                    self._adopt(k, item)
                 p += 1
                 if p == self._lens[k]:
                     if winner < 0:
@@ -326,6 +339,15 @@ class Engine:
                 self._rows.append({})
         entry = self._rows[state][item] = (nxt, winner)
         return entry
+
+    def _adopt(self, k: int, item) -> None:
+        """Rebuild spec ``k``'s body and block with ``item`` in place of
+        every entry equal to it, so the replay compares the input's own
+        objects."""
+        pattern = tuple(item if e == item else e for e in self._patterns[k])
+        block = pattern * (len(self._blocks[k]) // len(pattern))
+        self._patterns[k], self._pattern_lists[k] = pattern, list(pattern)
+        self._blocks[k], self._block_lists[k] = block, list(block)
 
     def finalize(self) -> Log:
         """Emit the accumulated log; abandoned partial matches stay raw.

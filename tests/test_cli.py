@@ -311,6 +311,14 @@ class TestSimulate:
         out = capsys.readouterr().out
         assert "authentic_but_invalid_path" in out and "invalid_index=50" in out
 
+    def test_edge_injected_after_the_last_transfer(self, tmp_path, capsys):
+        fixtures = write_fixture_files(tmp_path / "fx")
+        code = run("simulate", fixtures["sensor.cfg"], "--key", fixtures["demo.key"],
+                   "--steps", 400, "--inject", "0400:0508@400",
+                   "--report", tmp_path / "r.json")
+        assert code == 1
+        assert "invalid_index=400" in capsys.readouterr().out
+
     def test_verdict_prints_index_and_reason(self, tmp_path, capsys, monkeypatch):
         verdict = protocol.Verdict(
             protocol.Outcome.AUTHENTIC_BUT_INVALID_PATH, invalid_index=12, reason="why"
@@ -357,6 +365,16 @@ class TestBadInput:
         err = self.check(capsys, "simulate", fixtures["sensor.cfg"], "--key",
                          fixtures["demo.key"], f"--loop-bias={bias}")
         assert len(err.splitlines()) == 1 and "loop_bias" in err
+
+    @pytest.mark.parametrize("index", [-1, 401, 99999])
+    def test_simulate_inject_index_outside_the_trace(self, tmp_path, capsys, index):
+        # list.insert would wrap or clamp it onto another transfer
+        fixtures = write_fixture_files(tmp_path / "fx")
+        err = self.check(capsys, "simulate", fixtures["sensor.cfg"], "--key",
+                         fixtures["demo.key"], "--steps", 400,
+                         "--inject", f"0400:0508@{index}", "--report", tmp_path / "r.json")
+        assert len(err.splitlines()) == 1 and f"index {index} outside 0..400" in err
+        assert not (tmp_path / "r.json").exists()
 
     def test_simulate_non_hex_key(self, tmp_path, capsys):
         fixtures = write_fixture_files(tmp_path / "fx")

@@ -1022,3 +1022,97 @@ class TestReplay:
         for noise in range(6):
             trace = [other] * noise + body * (MAX_REPEAT_COUNT + 66)
             self.check_replay([trace], specs, budget, sliced=True)
+
+
+# --- the input's own address objects ------------------------------------------
+
+class CountedAddr(int):
+    """An address whose ``==`` counts its calls; it hashes as its value."""
+
+    calls = 0
+    __hash__ = int.__hash__
+
+    def __eq__(self, other):
+        CountedAddr.calls += 1
+        return int.__eq__(self, other)
+
+
+@pytest.mark.parametrize("mode", [Mode.PAIR, Mode.DEST])
+@pytest.mark.parametrize("shape", [list, tuple])
+def test_replay_compares_the_inputs_own_addresses(mode, shape):
+    # a spec of plain ints, fed copies of its body as fresh transfers over
+    # one set of addresses: once the engine holds those addresses, the
+    # replay finds each equal by identity, whatever the number of copies
+    config = EngineConfig(mode=mode)
+    addrs = [CountedAddr(0x0400 + 0x10 * i) for i in range(6)]
+    body = list(zip(addrs, addrs[1:] + addrs[:1]))
+    pair = mode is Mode.PAIR
+    entries = [Transfer(int(s), int(d)) if pair else int(d) for s, d in body]
+    spec = SubPathSpec(1, entries)
+    held = [*spec.entries]
+
+    def calls(k):
+        trace = shape(Transfer(s, d) for _ in range(k) for s, d in body)
+        CountedAddr.calls = 0
+        eng = Engine([spec], config)
+        eng.feed(trace)
+        assert eng.hits == {1: k}
+        assert eng.finalize().words == (1, config.counter_tag | k)
+        return CountedAddr.calls
+
+    assert calls(10) == calls(1000)
+    assert all(a is b for a, b in zip(spec.entries, held))
+
+
+def fresh(x: int) -> int:
+    """An int equal to ``x``, a new object unless CPython caches it."""
+    return int(repr(x))
+
+
+def with_fresh_ints(specs, pair):
+    return [SubPathSpec(s.id, tuple(Transfer(fresh(e[0]), fresh(e[1])) if pair else fresh(e)
+                                    for e in s.entries)) for s in specs]
+
+
+@given(st.one_of(grid_instances(), burst_instances()), st.data())
+@settings(max_examples=200, deadline=None)
+def test_specs_of_other_int_objects_give_the_same_logs(inst, data):
+    # equal specs built from other objects than the trace's, directly or
+    # through block memory, give the oracle's slices, words and hits; a
+    # second feed of fresh objects meets the objects the first one left
+    trace, specs, config = inst
+    pair = config.mode is Mode.PAIR
+    decoded = codec.deserialize_blockmem(codec.serialize_blockmem(specs, config), config)
+    other = [Transfer(fresh(t.src), fresh(t.dest)) if pair else Transfer(t.src, fresh(t.dest))
+             for t in trace]
+    limit = config.slice_size_bytes
+    want = oracle_slice_compress(trace, specs, config)
+    hits = oracle_hits([e for log in want for e in log.elements], specs)
+    shape = data.draw(st.sampled_from(SHAPES))
+    k = data.draw(st.integers(0, len(trace)))
+    for variant in (specs, with_fresh_ints(specs, pair), decoded):
+        items = [[*s.entries] for s in variant]
+        for parts in ([trace], [trace[:k], other[k:]]):
+            eng = Engine(variant, config)
+            logs = [log for part in parts for log in eng.feed(shape(part), limit)]
+            logs.append(eng.finalize())
+            assert len(logs) == len(want)
+            for got, expected in zip(logs, want):
+                assert_same_log(got, expected, config)
+            assert eng.hits == hits
+        assert all(a is b for s, i in zip(variant, items) for a, b in zip(s.entries, i))
+
+
+def test_prover_keeps_its_specs_across_sessions():
+    # the second session's empty block memory keeps the installed set
+    config = EngineConfig(slice_size_bytes=64)
+    body = [Transfer(0x0400, 0x0500), Transfer(0x0500, 0x0600), Transfer(0x0600, 0x0400)]
+    verifier, prover = protocol.Verifier(bytes(32), config), protocol.Prover(bytes(32), config)
+    installed = entries = None
+    for specs in ([SubPathSpec(1, body)], ()):
+        prover.handle_request(verifier.open_session(specs).encode())
+        if installed is None:
+            installed, entries = prover.specs, [[*s.entries] for s in prover.specs]
+        prover.run([Transfer(fresh(s), fresh(d)) for s, d in body * 50])
+        assert prover.specs is installed
+        assert all(a is b for s, i in zip(installed, entries) for a, b in zip(s.entries, i))
