@@ -23,10 +23,8 @@ from . import cfg as cfgmod
 from . import codec, files, metrics, protocol, selection, workload
 from .engine import Engine, expand
 from .errors import AuditError
-from .model import EngineConfig, LogFormat, Mode, Transfer
+from .model import EngineConfig, Mode, Transfer
 from .monitor import Region, RegionMap, run_monitor
-
-_FORMATS = {"image": LogFormat.MEMORY_IMAGE, "tagged": LogFormat.PORTABLE_TAGGED}
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -89,7 +87,7 @@ def _cmd_compress(args) -> int:
     engine = Engine(specs, config)
     engine.feed(trace)
     log = engine.finalize()
-    data = codec.serialize_log(log, config, _FORMATS[args.format])
+    data = codec.serialize_log(log, config)
     Path(args.out).write_bytes(data)
     report = metrics.build_report(
         Path(args.trace).stem, trace, specs, config, compressed=(log, engine.hits)
@@ -100,7 +98,7 @@ def _cmd_compress(args) -> int:
 
 def _cmd_expand(args) -> int:
     config, specs = _load_specs(args)
-    log = codec.deserialize_log(Path(args.log).read_bytes(), config, _FORMATS[args.format])
+    log = codec.deserialize_log(Path(args.log).read_bytes(), config)
     raw = expand(log, specs, config)
     Path(args.out).write_text(
         files.write_trace_document(raw.elements, config.mode, config.addr_width)
@@ -157,11 +155,17 @@ def _cmd_select(args) -> int:
     return 0
 
 
+def _non_negative(what: str, value: int) -> int:
+    # a negative index would wrap onto another frame or bit, or match none
+    if value < 0:
+        raise AuditError(f"{what} {value} is negative")
+    return value
+
+
 def _parse_flip(text: str) -> tuple[int, int]:
-    if ":" in text:
-        frame, bit = text.split(":", 1)
-        return int(frame), int(bit)
-    return int(text), 0
+    frame, sep, bit = text.partition(":")
+    return (_non_negative("--flip frame", int(frame)),
+            _non_negative("--flip bit", int(bit) if sep else 0))
 
 
 def _cmd_simulate(args) -> int:
@@ -187,9 +191,9 @@ def _cmd_simulate(args) -> int:
         specs = ()
 
     faults = protocol.ChannelFaults(
-        drop=set(args.drop or ()),
+        drop={_non_negative("--drop frame", s) for s in args.drop or ()},
         flip=dict(_parse_flip(f) for f in (args.flip or ())),
-        replay=set(args.replay or ()),
+        replay={_non_negative("--replay frame", s) for s in args.replay or ()},
     )
     verdict = protocol.run_session(
         files.load_key(args.key), config, specs, trace, cfg=graph, faults=faults
@@ -239,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("trace")
     p.add_argument("--specs", help="sub-path spec file (optional)")
     p.add_argument("-o", "--out", required=True)
-    p.add_argument("--format", choices=list(_FORMATS), default="image")
     p.add_argument("--report", help="metrics JSON path (default <out>.report.json)")
     _add_config_flags(p)
     p.set_defaults(func=_cmd_compress)
@@ -248,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("log")
     p.add_argument("--specs", help="sub-path spec file used during compression")
     p.add_argument("-o", "--out", required=True)
-    p.add_argument("--format", choices=list(_FORMATS), default="image")
     _add_config_flags(p)
     p.set_defaults(func=_cmd_expand)
 

@@ -7,11 +7,6 @@ Memory-image log layout (little-endian words, word = addr_width/8 bytes):
     symbol        ->  id word (1..255)
     repeat count  ->  (counter_tag | count) word
 
-Portable-tagged layout prefixes every element with one tag byte
-(0x00 pair, 0x01 dest, 0x02 symbol, 0x03 count) followed by the same
-little-endian payload words, the count without its tag bit; an address
-there need only fit the word.
-
 Block memory packs each spec as a header word ``(id << 8) | len`` followed
 by ``len`` (src, dest) word pairs in pair mode or ``len`` dest words in
 dest mode; blocks are simply concatenated.  Every word is packed by
@@ -29,24 +24,15 @@ from .errors import DuplicateId, LenOverflow, MalformedBlockMem, MalformedLog, P
 from .files import address_record, header_value, records
 from .model import (
     MAX_SYMBOL_ID,
-    TAG_RAW_DEST,
-    TAG_RAW_PAIR,
-    TAG_REPEAT,
-    TAG_SYMBOL,
     BlockMemImage,
     EngineConfig,
     Log,
     LogFormat,
     Mode,
-    RawDest,
-    RawPair,
     SubPathSpec,
-    Symbol,
     Transfer,
-    _count,
     _set_elements,
     decode_image,
-    encode_elements,
     validate_spec_set,
 )
 
@@ -73,57 +59,17 @@ def encode_raw(trace: Iterable[Transfer], config: EngineConfig) -> Log:
     return compress_trace(trace, (), config)
 
 
+# ``fmt`` can only be ``MEMORY_IMAGE``; it stays so callers that name the layout still work
 def serialize_log(log: Log, config: EngineConfig, fmt: LogFormat = LogFormat.MEMORY_IMAGE) -> bytes:
-    if fmt is not LogFormat.PORTABLE_TAGGED:
-        return _pack(log.image(config), config)
-    words, tags = encode_elements(log.elements, config, tagged=True)
-    code = _WORD_CODE[config.addr_width]
-    out = bytearray()  # each element's tag byte, then its words
-    i = 0
-    for t in tags:
-        n = 2 if t == TAG_RAW_PAIR else 1
-        out += struct.pack(f"<B{n}{code}", t, *words[i : i + n])
-        i += n
-    return bytes(out)
-
-
-def _deserialize_tagged(data: bytes, config: EngineConfig) -> list:
-    pair = config.mode is Mode.PAIR
-    raw, raw_tag = (RawPair, TAG_RAW_PAIR) if pair else (RawDest, TAG_RAW_DEST)
-    w = config.word_bytes
-    sizes = {raw_tag: config.raw_element_bytes, TAG_SYMBOL: w, TAG_REPEAT: w}
-    elements: list = []
-    i = 0
-    while i < len(data):
-        t = data[i]
-        n = sizes.get(t)
-        if n is None:
-            raise MalformedLog(f"tag byte {t:#04x} is no {config.mode.value}-mode element")
-        if i + 1 + n > len(data):
-            raise MalformedLog("truncated word")
-        vals = _unpack(data[i + 1 : i + 1 + n], config, MalformedLog)
-        i += 1 + n
-        if t == raw_tag:
-            elements.append(raw(*vals))
-        elif t == TAG_REPEAT:
-            elements.append(_count(elements[-1] if elements else None, vals[0]))
-        elif not 1 <= vals[0] <= MAX_SYMBOL_ID:
-            raise MalformedLog(f"symbol id {vals[0]} out of range")
-        else:
-            elements.append(Symbol(vals[0]))
-    return elements
+    return _pack(log.image(config), config)
 
 
 def deserialize_log(data: bytes, config: EngineConfig, fmt: LogFormat = LogFormat.MEMORY_IMAGE) -> Log:
-    """Decode a whole log; its size is the word bytes it was read from
-    (all of ``data``, less one tag byte per element when tagged)."""
-    if fmt is LogFormat.MEMORY_IMAGE:
-        words = _unpack(data, config, MalformedLog)
-        log = Log.from_words(words, config)
-        _set_elements(log, decode_image(words, config))  # raises on a malformed image
-        return log
-    elements = _deserialize_tagged(data, config)
-    return Log(tuple(elements), len(data) - len(elements))
+    """Decode a whole log; its size is the word bytes it was read from."""
+    words = _unpack(data, config, MalformedLog)
+    log = Log.from_words(words, config)
+    _set_elements(log, decode_image(words, config))  # raises on a malformed image
+    return log
 
 
 def blockmem_block_bytes(entry_count: int, config: EngineConfig) -> int:

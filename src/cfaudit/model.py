@@ -35,9 +35,6 @@ MIN_REPEAT_COUNT = 2
 MAX_REPEAT_COUNT = 32767
 MAX_SPEC_LEN = 255
 
-# each element kind's tag byte in the portable-tagged log layout
-TAG_RAW_PAIR, TAG_RAW_DEST, TAG_SYMBOL, TAG_REPEAT = range(4)
-
 
 class Mode(str, Enum):
     """What the matcher compares: full (src, dest) pairs or destinations only."""
@@ -47,10 +44,9 @@ class Mode(str, Enum):
 
 
 class LogFormat(str, Enum):
-    """Serialized log layouts: packed words, or tag-byte-prefixed elements."""
+    """The serialized log layout: the packed memory-image words."""
 
     MEMORY_IMAGE = "image"
-    PORTABLE_TAGGED = "tagged"
 
 
 class Transfer(NamedTuple):
@@ -181,7 +177,7 @@ class Log:
         equal config, else its elements run through ``encode_elements``."""
         if self.words is not None and self.config == config:
             return self.words
-        return encode_elements(self.elements, config)[0]
+        return encode_elements(self.elements, config)
 
     def __setattr__(self, name: str, value) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -252,49 +248,39 @@ def decode_image(words: Iterable[int], config: EngineConfig) -> tuple[LogElement
     return tuple(elements)
 
 
-def encode_elements(
-    elements: Iterable[LogElement], config: EngineConfig, tagged: bool = False
-) -> tuple[list[int], bytearray]:
-    """The words of ``elements`` under ``config`` and each element's tag
-    byte.  Untagged, the words are the memory image (``decode_image``'s
-    inverse): an address misses the symbol and counter words and a counter
-    carries ``counter_tag``.  Tagged, an address need only fit the word and
-    a counter is its bare count.  Raises on any sequence the engine cannot
-    emit, in any format (a misplaced counter, the other mode's element)."""
+def encode_elements(elements: Iterable[LogElement], config: EngineConfig) -> list[int]:
+    """The memory-image words of ``elements`` under ``config``
+    (``decode_image``'s inverse): an address misses the symbol and counter
+    words and a counter carries ``counter_tag``.  Raises on any sequence
+    the engine cannot emit (a misplaced counter, the other mode's element)."""
     pair = config.mode is Mode.PAIR
     raw, other = (RawPair, RawDest) if pair else (RawDest, RawPair)
-    raw_tag = TAG_RAW_PAIR if pair else TAG_RAW_DEST
     width = config.addr_width
-    lo, hi = (0, 1 << width) if tagged else (config.min_code_addr, config.counter_tag)
-    count_tag = 0 if tagged else config.counter_tag
+    lo, tag = config.min_code_addr, config.counter_tag
     words: list[int] = []
-    tags = bytearray()
     prev = None
     for el in elements:
         kind = type(el)
         if kind is raw:
             for a in el:
-                if not lo <= a < hi:
+                if not lo <= a < tag:
                     if 0 <= a < 1 << width:
                         raise EncodingOverlap(f"address {a:#x} collides with symbol/counter words")
                     raise AddressOutOfRange(f"address {a:#x} does not fit {width} bits")
             words += el
-            tags.append(raw_tag)
         elif kind is Symbol:
             if not 1 <= el.id <= MAX_SYMBOL_ID:
                 raise MalformedLog(f"symbol id {el.id} out of range")
             words.append(el.id)
-            tags.append(TAG_SYMBOL)
         elif kind is RepeatCount:
             _count(prev, el.count)
-            words.append(count_tag | el.count)
-            tags.append(TAG_REPEAT)
+            words.append(tag | el.count)
         elif kind is other:
             raise ModeMismatch(f"{other.__name__} element in {config.mode.value}-mode log")
         else:
             raise MalformedLog(f"unknown log element {el!r}")
         prev = el
-    return words, tags
+    return words
 
 
 def make_log(elements: Iterable[LogElement], config: EngineConfig) -> Log:

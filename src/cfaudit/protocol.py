@@ -54,7 +54,6 @@ from .model import (
     MIN_REPEAT_COUNT,
     EngineConfig,
     Log,
-    LogFormat,
     Mode,
     RawDest,
     RawPair,
@@ -234,7 +233,7 @@ class Prover:
         for i, log in enumerate(logs):
             final = i == len(logs) - 1
             seq, digest = self._next_seq, image_digest if final else None
-            payload = serialize_log(log, self.config, LogFormat.MEMORY_IMAGE)
+            payload = serialize_log(log, self.config)
             mac = self._mac_state.copy()
             mac.update(_slice_body(seq, final, payload, digest))
             slices.append(EvidenceSlice(seq, final, payload, mac.digest(), digest))

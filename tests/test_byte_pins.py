@@ -4,9 +4,9 @@ Round-trip and parity tests call the same serializer on both sides, so a
 change of wire format would pass them.  These digests fix the bytes
 themselves: the prover's payloads and frames for both fixtures at
 benchmark scale, the request frame that installs each fixture's specs,
-the tagged form of the same slices, each fixture's block memory, and one
-seeded log and spec set per configuration.  Decoding the
-pinned bytes must give back the same elements and size.
+each fixture's block memory, and one seeded log and spec set per
+configuration.  Decoding the pinned bytes must give back the same
+elements and size.
 """
 
 import hashlib
@@ -16,7 +16,6 @@ import pytest
 
 from cfaudit.codec import deserialize_log, serialize_blockmem, serialize_log
 from cfaudit.engine import compress_trace, slice_compress
-from cfaudit.model import LogFormat, Mode, RawDest, RawPair, RepeatCount, Symbol, make_log
 from cfaudit.protocol import Prover, Verifier
 
 from conftest import CONFIG_GRID, address_pool, random_specs, random_trace
@@ -28,14 +27,12 @@ FIXTURE_DIGESTS = {
     "sensor": {
         "payloads": "1c0a9a14b8a1ba9fe53808081d34a47dde1dc6e858d7464683440a6eed99d4eb",
         "frames": "21e21b369f8e8bd55026910fcebf63893c88f360b5032b2b1a02e1f6f4dd0c8a",
-        "tagged": "919914e50f956ae201e73e329381dc19e93d777205f542ab60182d72c9287400",
         "blockmem": "a05299cd2dd84541f2080acccde8374ab4ea786214ab077c146b9d0ab16bb2c9",
         "request": "d7ab56abdc72c6373ead2fc0211449c65288bf3d8f488d260c773fbf38b715c4",
     },
     "branchy": {
         "payloads": "53b0eceeb3cc113d7d7a41d8af8cc0a8816e3c23de4470ae58b336942d7cc8d4",
         "frames": "684784f4f1d666d8fb0705462538a329b6c3871905f858d0b9455af2d6ea5fe7",
-        "tagged": "da124f8a71b157ed74a10b79f6e768a80a8d7151baf772dc78cda11af6ee9883",
         "blockmem": "150d901aa4d4a06bde1da92cb45a0321dc7c9e600ba3f31cfbc1b2f7dd141dad",
         "request": "2b7c717e4f6267a038aaf945c98a0b4da044924897594d58f76404a551a629a1",
     },
@@ -44,26 +41,18 @@ FIXTURE_DIGESTS = {
 GRID_DIGESTS = {
     "pair16": {
         "image": "ab5846a4853f3be9245166a0835f461f73bb95681959d4f8bb1dcf2e8d4c16db",
-        "tagged": "33318080f1992c8120338bea907ba12c17d1062f0a9fd1e69e88c04727a69747",
-        "low_tagged": "3b6c8cbab6026ecf5182b3bbab52bf0c03f0e1351e2b40d81a530e5e8023ac27",
         "blockmem": "beeed014bc48f955a8b9542f8db462e377f41c1fd8c15d1ed8a57872c23e02a3",
     },
     "pair32": {
         "image": "e34ddaf4fc91630c52f85c322b3a1fdfc36aefffd2f78c4fc819a54c223dc179",
-        "tagged": "eb8de1812e1531a7ad740106a900c5fc736b99a9ba4e5b51410f432433370e78",
-        "low_tagged": "8bb32dccbaa30333500bc8171474a82e1c0c3166e9b04bf401259c9ce6ed1e19",
         "blockmem": "0984a103a9211553033ee0a15b69adfa3fc4677933453a10365a7e640abb77c7",
     },
     "dest16": {
         "image": "bc892a9230974e35fa209eea9dfe97258715d1d23597824f30ae231dd36b17fe",
-        "tagged": "bdad7596da667d791445d2ce58c47af7034d8236630b3ff9df10f586c6c04791",
-        "low_tagged": "c7c1a7d1bd6632d02e6a5be57d08e2418c11f9c72925e2fe971f9575f21f0ec2",
         "blockmem": "fb2cb832cc838ce88eb249974f100b080fe9c84095d26d3e67c9a8716d6e35c0",
     },
     "dest32": {
         "image": "783c502baa5d139d57a290be5ce59b31d4576f7d3fa22c6b6a31e4eb8d243253",
-        "tagged": "e4e493c28558a49f0ffd0f6f24d6f0ec05d6a66798fa9feab95c07f5cbab5134",
-        "low_tagged": "5f11d5fa087778c8475f857ebed6a5ea1dffa7ece9b2e4eba707fba6ffc889bc",
         "blockmem": "9d5965feebde7eec06c14dee940cb170955ceb81a11239aa391744657d2a9d98",
     },
 }
@@ -91,18 +80,15 @@ def test_fixture_bytes_pinned(name):
     prover.handle_request(request)
     slices = prover.run(trace)
     logs = slice_compress(trace, specs, CONFIG)
-    tagged = [serialize_log(x, CONFIG, LogFormat.PORTABLE_TAGGED) for x in logs]
     got = {
         "payloads": digest(s.payload for s in slices),
         "frames": digest(s.encode() for s in slices),
-        "tagged": digest(tagged),
         "blockmem": digest([serialize_blockmem(specs, CONFIG).data]),
         "request": digest([request]),
     }
     assert got == FIXTURE_DIGESTS[name]
-    for s, t, log in zip(slices, tagged, logs):
+    for s, log in zip(slices, logs):
         assert deserialize_log(s.payload, CONFIG) == log
-        assert deserialize_log(t, CONFIG, LogFormat.PORTABLE_TAGGED) == log
 
 
 @pytest.mark.parametrize("config", CONFIG_GRID, ids=config_name)
@@ -113,23 +99,10 @@ def test_grid_bytes_pinned(config):
     trace = random_trace(rng, config, 300, address_pool(config, 3, rng))
     specs = random_specs(rng, config, trace, max_specs=8, max_len=4)
     log = compress_trace(trace, specs, config)
-    # the tagged layout carries addresses the memory image reserves
-    top = (1 << config.addr_width) - 1
-    if config.mode is Mode.PAIR:
-        low_raw = [RawPair(0, top), RawPair(0x300, 0x0400)]
-    else:
-        low_raw = [RawDest(0), RawDest(top), RawDest(0x300)]
-    low = make_log(low_raw + [Symbol(255), RepeatCount(32767), Symbol(1)], config)
     image = serialize_log(log, config)
-    tagged = serialize_log(log, config, LogFormat.PORTABLE_TAGGED)
-    low_tagged = serialize_log(low, config, LogFormat.PORTABLE_TAGGED)
     got = {
         "image": digest([image]),
-        "tagged": digest([tagged]),
-        "low_tagged": digest([low_tagged]),
         "blockmem": digest([serialize_blockmem(specs, config).data]),
     }
     assert got == GRID_DIGESTS[config_name(config)]
     assert deserialize_log(image, config) == log
-    assert deserialize_log(tagged, config, LogFormat.PORTABLE_TAGGED) == log
-    assert deserialize_log(low_tagged, config, LogFormat.PORTABLE_TAGGED) == low

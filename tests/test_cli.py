@@ -106,33 +106,21 @@ class TestCompressExpand:
         empty.write_text("mode pair\n")
         assert run("expand", out, "--specs", empty, "-o", workdir / "x.trace") == 1
 
-    def test_tagged_format(self, workdir):
-        out = workdir / "out.tagged"
-        assert run("compress", workdir / "t.trace", "--specs", workdir / "s.specs",
-                   "-o", out, "--format", "tagged") == 0
-        from cfaudit.model import LogFormat
-
-        log = deserialize_log(out.read_bytes(), CONFIG, LogFormat.PORTABLE_TAGGED)
-        assert log == compress_trace(TRACE, [SPEC], CONFIG)
-
-    def test_tagged_format_still_takes_only_code_addresses(self, workdir, capsys):
-        # the tagged codec takes any address that fits the word; the
-        # compressor takes only code addresses, whatever the format
+    def test_compress_takes_only_code_addresses(self, workdir, capsys):
         low = workdir / "low.trace"
         low.write_text("mode pair\nwidth 16\n0100 0500\n")
-        out = workdir / "low.tagged"
-        assert run("compress", low, "-o", out, "--format", "tagged") == 1
+        out = workdir / "low.bin"
+        assert run("compress", low, "-o", out) == 1
         assert capsys.readouterr().err == "error: transfer (0x100, 0x500) out of range\n"
         assert not out.exists()
 
-    def test_tagged_log_expands_only_code_addresses(self, workdir, capsys):
-        # expansion reads the memory image, which has no room for 0x100
-        low = workdir / "low.tagged"
-        low.write_bytes(bytes([0x00, 0x00, 0x01, 0x00, 0x05]))  # raw pair (0x100, 0x500)
+    def test_expand_rejects_a_reserved_gap_word(self, workdir, capsys):
+        # the memory image has no room for 0x100: it is neither symbol nor address
+        low = workdir / "low.bin"
+        low.write_bytes(bytes([0x00, 0x01, 0x00, 0x05]))
         out = workdir / "low.trace"
-        assert run("expand", low, "-o", out, "--format", "tagged") == 1
-        assert capsys.readouterr().err == (
-            "error: address 0x100 collides with symbol/counter words\n")
+        assert run("expand", low, "-o", out) == 1
+        assert capsys.readouterr().err == "error: word 0x100 falls in the reserved gap\n"
         assert not out.exists()
 
 
@@ -302,6 +290,29 @@ class TestSimulate:
         assert code == 1
         assert "auth_failure" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag, value, field, want", [
+        ("--drop", "0", "drop", {0}),
+        ("--replay", "0", "replay", {0}),
+        ("--flip", "0", "flip", {0: 0}),
+        ("--flip", "0:0", "flip", {0: 0}),
+    ], ids=["drop", "replay", "flip", "flip-bit"])
+    def test_fault_index_0_is_injected(self, tmp_path, capsys, monkeypatch,
+                                       flag, value, field, want):
+        seen = []
+        real_session = protocol.run_session
+
+        def recording_session(*args, **kwargs):
+            seen.append(kwargs["faults"])
+            return real_session(*args, **kwargs)
+
+        monkeypatch.setattr(protocol, "run_session", recording_session)
+        fixtures = write_fixture_files(tmp_path / "fx")
+        run("simulate", fixtures["sensor.cfg"], "--key", fixtures["demo.key"],
+            "--steps", 400, flag, value, "--report", tmp_path / "r.json")
+        assert getattr(seen[0], field) == want
+        out, err = capsys.readouterr()
+        assert err == "" and "verdict " in out
+
     def test_injected_edge_detected(self, tmp_path, capsys):
         fixtures = write_fixture_files(tmp_path / "fx")
         code = run("simulate", fixtures["sensor.cfg"], "--key", fixtures["demo.key"],
@@ -374,6 +385,22 @@ class TestBadInput:
                          fixtures["demo.key"], "--steps", 400,
                          "--inject", f"0400:0508@{index}", "--report", tmp_path / "r.json")
         assert len(err.splitlines()) == 1 and f"index {index} outside 0..400" in err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("flag, value, what", [
+        ("--drop", "-1", "--drop frame -1"),
+        ("--replay", "-1", "--replay frame -1"),
+        ("--flip", "-1", "--flip frame -1"),
+        ("--flip", "0:-1", "--flip bit -1"),
+    ], ids=["drop", "replay", "flip", "flip-bit"])
+    def test_simulate_negative_fault_index(self, tmp_path, capsys, flag, value, what):
+        # a negative frame matches no frame and a negative bit wraps onto
+        # the frame's last byte, so the run would report the wrong fault
+        fixtures = write_fixture_files(tmp_path / "fx")
+        err = self.check(capsys, "simulate", fixtures["sensor.cfg"], "--key",
+                         fixtures["demo.key"], "--steps", 400, flag, value,
+                         "--report", tmp_path / "r.json")
+        assert err == f"error: {what} is negative\n"
         assert not (tmp_path / "r.json").exists()
 
     def test_simulate_non_hex_key(self, tmp_path, capsys):

@@ -54,9 +54,6 @@ def seeds(tmp_path_factory):
                  "--report", report])[0] == 0
     out["specs"], out["image"], out["report"] = (
         specs.read_bytes(), log.read_bytes(), report.read_bytes())
-    assert call(["compress", fx["sensor.trace"], "--specs", specs, "-o", log,
-                 "--format", "tagged", "--report", report])[0] == 0
-    out["tagged"] = log.read_bytes()
     out["events"] = write_event_document([
         AccessEvent(pc=0x9100, w_en=True, d_addr=0xA000),
         AccessEvent(pc=0x4000, w_en=True, d_addr=0xA000, dma_en=True, dma_addr=0xA010),
@@ -172,20 +169,18 @@ SETTINGS = settings(max_examples=60, deadline=None,
 
 
 @SETTINGS
-@given(data=st.data(), fmt=st.sampled_from(["image", "tagged"]),
-       trace=st.sampled_from(["sensor.trace", "branchy.trace"]))
-def test_compress(seeds, data, fmt, trace):
+@given(data=st.data(), trace=st.sampled_from(["sensor.trace", "branchy.trace"]))
+def test_compress(seeds, data, trace):
     drive(data, seeds, ["compress", "{trace}", "--specs", "{specs}", "-o", "{work}/c.bin",
-                        "--format", fmt, "--report", "{work}/c.json"],
+                        "--report", "{work}/c.json"],
           {"trace": trace, "specs": "specs"})
 
 
 @SETTINGS
-@given(data=st.data(), fmt=st.sampled_from(["image", "tagged"]),
-       width=st.sampled_from([[], ["--width", "32"], ["--mode", "dest"]]))
-def test_expand(seeds, data, fmt, width):
-    drive(data, seeds, ["expand", "{log}", "--specs", "{specs}", "-o", "{work}/e.trace",
-                        "--format", fmt], {"log": fmt, "specs": "specs"}, width)
+@given(data=st.data(), width=st.sampled_from([[], ["--width", "32"], ["--mode", "dest"]]))
+def test_expand(seeds, data, width):
+    drive(data, seeds, ["expand", "{log}", "--specs", "{specs}", "-o", "{work}/e.trace"],
+          {"log": "image", "specs": "specs"}, width)
 
 
 @SETTINGS

@@ -76,18 +76,10 @@ class TestLogSerialization:
         log = make_log([Symbol(1), RepeatCount(2)], PAIR16)
         assert serialize_log(log, PAIR16) == bytes.fromhex("01000280")
 
-    def test_tagged_bytes(self):
-        log = make_log([RawPair(0x0400, 0x0500), Symbol(3)], PAIR16)
-        data = serialize_log(log, PAIR16, LogFormat.PORTABLE_TAGGED)
-        assert data == bytes.fromhex("0000040005") + bytes.fromhex("020300")
-
     def test_memory_image_rejects_low_address(self):
         log = make_log([RawPair(0x0300, 0x0500)], PAIR16)
         with pytest.raises(EncodingOverlap):
             serialize_log(log, PAIR16, LogFormat.MEMORY_IMAGE)
-        # but the tagged format carries it fine
-        data = serialize_log(log, PAIR16, LogFormat.PORTABLE_TAGGED)
-        assert deserialize_log(data, PAIR16, LogFormat.PORTABLE_TAGGED) == log
 
     def test_size_matches_image_length(self):
         rng = random.Random(7)
@@ -127,18 +119,6 @@ class TestLogSerialization:
     def test_malformed_zero_word(self):
         with pytest.raises(MalformedLog):
             deserialize_log(bytes.fromhex("0000"), PAIR16)
-
-    def test_malformed_unknown_tag(self):
-        with pytest.raises(MalformedLog):
-            deserialize_log(b"\x07\x00\x04", PAIR16, LogFormat.PORTABLE_TAGGED)
-
-    def test_malformed_tagged_count_first(self):
-        with pytest.raises(MalformedLog):
-            deserialize_log(b"\x03\x02\x00", PAIR16, LogFormat.PORTABLE_TAGGED)
-
-    def test_malformed_tagged_truncated_word(self):
-        with pytest.raises(MalformedLog):
-            deserialize_log(b"\x02\x01", PAIR16, LogFormat.PORTABLE_TAGGED)
 
     def test_serialize_rejects_count_first(self):
         log = make_log([RepeatCount(2)], PAIR16)

@@ -21,7 +21,6 @@ from cfaudit.model import (
     MAX_REPEAT_COUNT,
     EngineConfig,
     Log,
-    LogFormat,
     Mode,
     RepeatCount,
     RawDest,
@@ -290,11 +289,9 @@ class TestExpand:
             expand(make_log([RawPair(A, B)], dest16), [], dest16)
 
     def test_element_log_must_fit_the_memory_image(self):
-        # a tagged file can hold any address that fits the word; expansion
-        # reads memory-image words, so it takes only code addresses
-        tagged = bytes([0x00, 0x00, 0x01, 0x00, 0x05])  # one raw pair (0x100, 0x500)
-        log = codec.deserialize_log(tagged, PAIR16, LogFormat.PORTABLE_TAGGED)
-        assert log.elements == (RawPair(0x100, 0x500),)
+        # an element log can hold any address; expansion reads
+        # memory-image words, so it takes only code addresses
+        log = make_log([RawPair(0x100, 0x500)], PAIR16)
         with pytest.raises(EncodingOverlap, match="address 0x100 collides"):
             expand(log, [ABD_SPEC], PAIR16)
         with pytest.raises(EncodingOverlap):
@@ -497,8 +494,7 @@ def assert_same_log(ours, want, config):
     ``want`` in every way a caller sees; its image bytes are checked
     while its elements are still undecoded."""
     assert ours.words is not None
-    for fmt in (LogFormat.MEMORY_IMAGE, LogFormat.PORTABLE_TAGGED):
-        assert serialize_log(ours, config, fmt) == serialize_log(want, config, fmt)
+    assert serialize_log(ours, config) == serialize_log(want, config)
     assert hash(ours) == hash(want)
     assert repr(ours) == repr(want)
     assert ours.size_bytes == want.size_bytes
