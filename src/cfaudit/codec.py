@@ -67,7 +67,7 @@ def serialize_log(log: Log, config: EngineConfig, fmt: LogFormat = LogFormat.MEM
 def deserialize_log(data: bytes, config: EngineConfig, fmt: LogFormat = LogFormat.MEMORY_IMAGE) -> Log:
     """Decode a whole log; its size is the word bytes it was read from."""
     words = _unpack(data, config, MalformedLog)
-    log = Log.from_words(words, config)
+    log = Log(words, config)
     _set_elements(log, decode_image(words, config))  # raises on a malformed image
     return log
 

@@ -203,7 +203,7 @@ class Engine:
         try:
             for t in it:
                 if len(buf) > cut:
-                    out.append(Log.from_words(tuple(buf), config))
+                    out.append(Log(tuple(buf), config))
                     buf, state, row = [], 0, idle_row
                     push = buf.extend if pair else buf.append
                 key = t if pair else t.dest
@@ -291,7 +291,7 @@ class Engine:
         pos, end = 0, len(words)
         while pos < end:
             if len(buf) > cut:
-                out.append(Log.from_words(tuple(buf), self.config))
+                out.append(Log(tuple(buf), self.config))
                 buf = []
             # the transfers that fit before the log is past the cut
             take = ((cut - len(buf)) // width + 1) * width
@@ -355,7 +355,7 @@ class Engine:
         Detector and coalescing state reset, so the engine can keep
         running to produce the next slice.
         """
-        log = Log.from_words(tuple(self._buf), self.config)
+        log = Log(tuple(self._buf), self.config)
         self._buf = []
         self._state = 0
         return log
@@ -427,4 +427,4 @@ def expand(log: Log, specs: Sequence[SubPathSpec], config: EngineConfig) -> Log:
             out += body
         else:
             out.append(v)
-    return Log.from_words(tuple(out), config)
+    return Log(tuple(out), config)

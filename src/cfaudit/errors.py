@@ -85,3 +85,7 @@ class MalformedFrame(AuditError):
 
 class ProtocolError(AuditError):
     """Protocol state machine used out of order (e.g. no open session)."""
+
+
+class FaultOutOfRange(AuditError):
+    """A channel fault names a frame or a bit that was not sent."""

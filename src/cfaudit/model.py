@@ -131,38 +131,23 @@ def check_address(value: int, config: EngineConfig) -> int:
 
 
 class Log:
-    """An ordered element sequence plus its encoded size in bytes.
-
-    A log the engine emits also carries ``words``, its memory image under
-    ``config``, and decodes ``elements`` from them on first read; a log
-    built from elements has ``words`` and ``config`` None.  Either way a
-    log is immutable, and equality, hash and repr are those of
-    ``(elements, size_bytes)``.  Two logs carrying words under equal
-    configs compare their words, since one config decodes well-formed
-    words to elements one to one.  A raw log caches its selection keys in
-    ``_keys`` on first use (``selection._raw_keys``); a copy or a pickle
-    does not carry them."""
+    """A log: its memory-image ``words`` under ``config``, which must be well
+    formed, sized at ``len(words) * config.word_bytes``; its ``elements``
+    are decoded from the words on first read.  A log is immutable.
+    Equality, hash and pickle key on its layout, ``(words, config.mode,
+    config.addr_width)``: two configs that differ only in slice size or
+    retry read the same words as the same elements.  A raw log caches its
+    selection keys in ``_keys`` on first use (``selection._raw_keys``); a
+    copy or a pickle does not carry them."""
 
     __slots__ = ("_elements", "size_bytes", "words", "config", "_keys")
 
-    def __init__(self, elements: tuple[LogElement, ...], size_bytes: int):
-        _set_elements(self, elements)
-        _set_size_bytes(self, size_bytes)
-        _set_words(self, None)
-        _set_config(self, None)
+    def __init__(self, words: tuple[int, ...], config: EngineConfig):
+        _set_words(self, words)
+        _set_config(self, config)
+        _set_size_bytes(self, len(words) * config.word_bytes)
+        _set_elements(self, None)
         _set_keys(self, None)
-
-    @classmethod
-    def from_words(cls, words: tuple[int, ...], config: EngineConfig) -> Log:
-        """The log whose memory image under ``config`` is ``words``, which
-        must be well formed: its elements are decoded on first read."""
-        log = cls.__new__(cls)
-        _set_elements(log, None)
-        _set_size_bytes(log, len(words) * config.word_bytes)
-        _set_words(log, words)
-        _set_config(log, config)
-        _set_keys(log, None)
-        return log
 
     @property
     def elements(self) -> tuple[LogElement, ...]:
@@ -172,10 +157,14 @@ class Log:
             _set_elements(self, elements)
         return elements
 
+    def _layout(self) -> tuple:
+        return self.words, self.config.mode, self.config.addr_width
+
     def image(self, config: EngineConfig) -> Sequence[int]:
-        """The log's memory-image words under ``config``: its own under an
-        equal config, else its elements run through ``encode_elements``."""
-        if self.words is not None and self.config == config:
+        """The log's memory-image words under ``config``: its own under a
+        config of its layout, else its elements run through ``encode_elements``."""
+        own = self.config
+        if config.mode is own.mode and config.addr_width == own.addr_width:
             return self.words
         return encode_elements(self.elements, config)
 
@@ -188,19 +177,17 @@ class Log:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        if self.words is not None and other.words is not None and self.config == other.config:
-            return self.words == other.words
-        return self.size_bytes == other.size_bytes and self.elements == other.elements
+        return self._layout() == other._layout()
 
     def __hash__(self) -> int:
-        return hash((self.elements, self.size_bytes))
+        return hash(self._layout())
 
     def __repr__(self) -> str:
         return f"Log(elements={self.elements!r}, size_bytes={self.size_bytes!r})"
 
     def __reduce__(self):
         # copy and pickle rebuild through __init__: attribute assignment raises
-        return (Log, (self.elements, self.size_bytes))
+        return (Log, (self.words, self.config))
 
 
 # the slot descriptors' setters, which bypass Log's raising __setattr__
@@ -284,12 +271,9 @@ def encode_elements(elements: Iterable[LogElement], config: EngineConfig) -> lis
 
 
 def make_log(elements: Iterable[LogElement], config: EngineConfig) -> Log:
-    """A log sized by counting its words (two per ``RawPair``, one per
-    other element).  The library's producers size their logs as they
-    build them; this serves hand-built element lists."""
-    elems = tuple(elements)
-    words = sum(2 if isinstance(e, RawPair) else 1 for e in elems)
-    return Log(elems, words * config.word_bytes)
+    """The log of hand-built ``elements`` under ``config``: their memory
+    image, so a sequence the engine cannot emit raises here."""
+    return Log(tuple(encode_elements(elements, config)), config)
 
 
 @dataclass(frozen=True)

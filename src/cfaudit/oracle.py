@@ -27,6 +27,7 @@ from .model import (
     SubPathSpec,
     Symbol,
     Transfer,
+    make_log,
     validate_spec_set,
 )
 
@@ -62,22 +63,26 @@ def _occ_words(n: int) -> int:
     return words
 
 
-def _render(items: list, config: EngineConfig) -> Log:
+def _elements(items: list, config: EngineConfig):
+    """The log elements of an item list: a raw key each, and each run of
+    one id as ``[symbol, count]`` groups of at most ``MAX_REPEAT_COUNT``."""
     pair = config.mode is Mode.PAIR
-    elements: list = []
     for kind, value, extra in items:
         if kind == _RAW:
-            elements.append(RawPair(*value) if pair else RawDest(value))
+            yield RawPair(*value) if pair else RawDest(value)
         else:
             n = extra
             while n > 0:
                 group = min(n, MAX_REPEAT_COUNT)
-                elements.append(Symbol(value))
+                yield Symbol(value)
                 if group > 1:
-                    elements.append(RepeatCount(group))
+                    yield RepeatCount(group)
                 n -= group
-    words = sum(2 if (k == _RAW and pair) else (_occ_words(e) if k == _OCC else 1) for k, v, e in items)
-    return Log(tuple(elements), words * config.word_bytes)
+
+
+def _render(items: list, config: EngineConfig) -> Log:
+    # encoded as they are rendered: no list of the elements is held
+    return make_log(_elements(items, config), config)
 
 
 def _scan(

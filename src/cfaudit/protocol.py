@@ -44,6 +44,7 @@ from .engine import expand, slice_compress
 from .errors import (
     AuthError,
     ConfigMismatch,
+    FaultOutOfRange,
     MalformedFrame,
     MalformedLog,
     ProtocolError,
@@ -269,7 +270,7 @@ class Verdict:
         # a count at the start of a payload, so their joined words expand as
         # each payload's would
         words = _unpack(b"".join(self.payloads), self.config, MalformedLog)
-        return expand(Log.from_words(words, self.config), self.specs, self.config)
+        return expand(Log(words, self.config), self.specs, self.config)
 
 
 ACCEPT = "accept"
@@ -509,19 +510,31 @@ class Channel:
         self._sent.append(bytes(frame))
 
     def drain(self) -> list[bytes]:
+        """The frames sent so far, as the faults deliver them.  A fault on a
+        frame or a bit that was not sent raises ``FaultOutOfRange``."""
+        faults, n = self.faults, len(self._sent)
+        for what, frames in (("drop", faults.drop), ("flip", faults.flip),
+                             ("replay", faults.replay), ("reorder", faults.reorder)):
+            for i in sorted(frames):
+                if not 0 <= i < n:
+                    raise FaultOutOfRange(f"{what} frame {i} is not one of the {n} frames sent")
+        for i, bit in faults.flip.items():
+            if not 0 <= bit < 8 * len(self._sent[i]):
+                raise FaultOutOfRange(
+                    f"flip bit {bit} is not one of frame {i}'s {8 * len(self._sent[i])} bits")
         delivered: list[tuple[int, bytes]] = []
         for i, frame in enumerate(self._sent):
-            if i in self.faults.drop:
+            if i in faults.drop:
                 continue
-            if i in self.faults.flip:
-                bit = self.faults.flip[i]
+            if i in faults.flip:
+                bit = faults.flip[i]
                 buf = bytearray(frame)
-                buf[(bit // 8) % len(buf)] ^= 1 << (bit % 8)
+                buf[bit // 8] ^= 1 << (bit % 8)
                 frame = bytes(buf)
             delivered.append((i, frame))
-            if i in self.faults.replay:
+            if i in faults.replay:
                 delivered.append((i, frame))
-        for i in sorted(self.faults.reorder):
+        for i in sorted(faults.reorder):
             positions = [p for p, (orig, _) in enumerate(delivered) if orig == i]
             for p in positions:
                 if p + 1 < len(delivered):

@@ -30,8 +30,6 @@ from .model import (
     EngineConfig,
     Log,
     Mode,
-    RawDest,
-    RawPair,
     SubPathSpec,
     Transfer,
     _set_keys,
@@ -59,14 +57,13 @@ def _raw_keys(log: Log, mode: Mode) -> tuple:
     mining and again for each chosen spec's estimate, so the keys are
     cached on the log, in its ``_keys`` slot, as ``(mode, keys, bounds)``:
     ``bounds`` are the address bounds ``(lo, hi)`` the keys are known to
-    pass the engine's key check within, or None.  Asking in another mode
-    keys the log again; an error is raised afresh each time."""
+    pass the engine's key check within, at first the log's own config's,
+    since its words are well formed.  Asking in another mode keys the log
+    again; an error is raised afresh each time."""
     cached = log._keys
     if cached is None or cached[0] is not mode:
-        # keys read from an engine-made log's words passed the engine's check
-        # under its config; an element log's keys are checked when asked
-        bounds = None if log.words is None else (log.config.min_code_addr, log.config.counter_tag)
-        cached = (mode, _build_raw_keys(log, mode), bounds)
+        config = log.config
+        cached = (mode, _build_raw_keys(log, mode), (config.min_code_addr, config.counter_tag))
         _set_keys(log, cached)
     return cached[1]
 
@@ -79,13 +76,13 @@ def _check_keys(log: Log, config: EngineConfig) -> None:
     as the new bounds, so a log is checked once, not once per spec."""
     mode, keys, bounds = log._keys
     lo, hi = config.min_code_addr, config.counter_tag
-    if bounds is not None and lo <= bounds[0] and bounds[1] <= hi:
+    if lo <= bounds[0] and bounds[1] <= hi:
         return
     pair = config.mode is Mode.PAIR
     try:
         for key in set(keys):
             check_key(key, pair, lo, hi)
-    except (AuditError, TypeError):
+    except AuditError:
         for key in keys:  # raises at the first failing key, as the engine does
             check_key(key, pair, lo, hi)
         raise
@@ -93,28 +90,20 @@ def _check_keys(log: Log, config: EngineConfig) -> None:
 
 
 def _build_raw_keys(log: Log, mode: Mode) -> tuple:
-    """``_raw_keys`` without the cache.  A log that carries words of this
-    mode, each an address word, is keyed on its words.  Any other log is
-    scanned element by element: another mode's raw elements raise
-    ``ModeMismatch``, compressed ones ``ValueError``."""
-    pair = mode is Mode.PAIR
+    """``_raw_keys`` without the cache, read from the log's words.  A log
+    of the other mode raises ``ModeMismatch`` if its first word is an
+    address, a compressed log ``ValueError``; an empty log has no keys."""
     words, config = log.words, log.config
+    lo = config.min_code_addr
+    if config.mode is not mode and words and words[0] >= lo:
+        raise ModeMismatch(f"{config.mode.value} elements in {mode.value}-mode input")
     # a compressed image holds a symbol word, and symbols lie below every address
-    if words is not None and config.mode is mode and (
-        not words or min(words) >= config.min_code_addr
-    ):
-        if not pair:
-            return words
-        it = iter(words)
-        return tuple(zip(it, it))
-    raw = RawPair if pair else RawDest
-    for e in log.elements:
-        if type(e) is not raw:
-            if isinstance(e, (RawPair, RawDest)):
-                other = "pair" if mode is Mode.DEST else "dest"
-                raise ModeMismatch(f"{other} elements in {mode.value}-mode input")
-            raise ValueError("input must be raw (expanded) logs")
-    return log.elements if pair else tuple(e.dest for e in log.elements)
+    if words and min(words) < lo:
+        raise ValueError("input must be raw (expanded) logs")
+    if mode is Mode.DEST:
+        return words
+    it = iter(words)
+    return tuple(zip(it, it))
 
 
 def enumerate_candidates(

@@ -403,6 +403,33 @@ class TestBadInput:
         assert err == f"error: {what} is negative\n"
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("flag, value, what", [
+        ("--drop", "99", "drop frame 99 is not one of the 7 frames sent"),
+        ("--replay", "99", "replay frame 99 is not one of the 7 frames sent"),
+        ("--flip", "7", "flip frame 7 is not one of the 7 frames sent"),
+        ("--flip", "0:99999", "flip bit 99999 is not one of frame 0's 2376 bits"),
+        ("--flip", "6:1096", "flip bit 1096 is not one of frame 6's 1096 bits"),
+    ], ids=["drop", "replay", "flip", "flip-bit", "flip-last-frame-bit"])
+    def test_simulate_fault_past_what_was_sent(self, tmp_path, capsys, flag, value, what):
+        # at 400 steps the sensor session sends 7 frames, the last of 137 bytes;
+        # a fault past them would inject nothing or flip some other bit
+        fixtures = write_fixture_files(tmp_path / "fx")
+        err = self.check(capsys, "simulate", fixtures["sensor.cfg"], "--key",
+                         fixtures["demo.key"], "--steps", 400, flag, value,
+                         "--report", tmp_path / "r.json")
+        assert err == f"error: {what}\n"
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("flag, value, verdict", [
+        ("--drop", "6", "verdict incomplete"),
+        ("--flip", "6:1095", "verdict auth_failure reason=bad_mac"),
+    ], ids=["drop", "flip-bit"])
+    def test_simulate_fault_on_last_frame_and_bit(self, tmp_path, capsys, flag, value, verdict):
+        fixtures = write_fixture_files(tmp_path / "fx")
+        assert run("simulate", fixtures["sensor.cfg"], "--key", fixtures["demo.key"],
+                   "--steps", 400, flag, value, "--report", tmp_path / "r.json") == 1
+        assert verdict in capsys.readouterr().out
+
     def test_simulate_non_hex_key(self, tmp_path, capsys):
         fixtures = write_fixture_files(tmp_path / "fx")
         self.check(capsys, "simulate", fixtures["sensor.cfg"], "--key", fixtures["sensor.cfg"],

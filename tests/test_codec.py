@@ -77,9 +77,8 @@ class TestLogSerialization:
         assert serialize_log(log, PAIR16) == bytes.fromhex("01000280")
 
     def test_memory_image_rejects_low_address(self):
-        log = make_log([RawPair(0x0300, 0x0500)], PAIR16)
         with pytest.raises(EncodingOverlap):
-            serialize_log(log, PAIR16, LogFormat.MEMORY_IMAGE)
+            make_log([RawPair(0x0300, 0x0500)], PAIR16)
 
     def test_size_matches_image_length(self):
         rng = random.Random(7)
@@ -121,9 +120,8 @@ class TestLogSerialization:
             deserialize_log(bytes.fromhex("0000"), PAIR16)
 
     def test_serialize_rejects_count_first(self):
-        log = make_log([RepeatCount(2)], PAIR16)
         with pytest.raises(MalformedLog):
-            serialize_log(log, PAIR16)
+            make_log([RepeatCount(2)], PAIR16)
 
     def test_mode_mismatch(self):
         log = make_log([RawDest(0x0400)], DEST16)

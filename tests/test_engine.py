@@ -20,7 +20,6 @@ from cfaudit.metrics import build_report
 from cfaudit.model import (
     MAX_REPEAT_COUNT,
     EngineConfig,
-    Log,
     Mode,
     RepeatCount,
     RawDest,
@@ -277,9 +276,8 @@ class TestExpand:
             expand(log, [ABD_SPEC], PAIR16)
 
     def test_malformed_count_placement(self):
-        log = make_log([RawPair(A, B), RepeatCount(2)], PAIR16)
         with pytest.raises(MalformedLog):
-            expand(log, [ABD_SPEC], PAIR16)
+            make_log([RawPair(A, B), RepeatCount(2)], PAIR16)
 
     def test_other_mode_raw_element_rejected(self):
         dest16 = EngineConfig(mode=Mode.DEST)
@@ -289,15 +287,13 @@ class TestExpand:
             expand(make_log([RawPair(A, B)], dest16), [], dest16)
 
     def test_element_log_must_fit_the_memory_image(self):
-        # an element log can hold any address; expansion reads
-        # memory-image words, so it takes only code addresses
-        log = make_log([RawPair(0x100, 0x500)], PAIR16)
+        # a log is memory-image words, so it holds only code addresses
         with pytest.raises(EncodingOverlap, match="address 0x100 collides"):
-            expand(log, [ABD_SPEC], PAIR16)
+            make_log([RawPair(0x100, 0x500)], PAIR16)
         with pytest.raises(EncodingOverlap):
-            expand(make_log([RawPair(A, 0x8000)], PAIR16), [], PAIR16)  # a counter word
+            make_log([RawPair(A, 0x8000)], PAIR16)  # a counter word
         with pytest.raises(AddressOutOfRange):
-            expand(make_log([RawPair(A, 0x10000)], PAIR16), [], PAIR16)
+            make_log([RawPair(A, 0x10000)], PAIR16)
 
     def test_spec_is_checked_when_its_symbol_is_used(self):
         low = SubPathSpec(2, pairs((0x100, B)))
@@ -349,8 +345,8 @@ class TestSliceCompress:
             eng.feed(trace, 2)
         assert eng.snapshot() == () and eng.size_bytes == 0
         # a limit of exactly one raw element holds one per log
-        assert eng.feed(trace, 4) == [Log((RawPair(A, B),), 4)]
-        assert eng.finalize() == Log((RawPair(B, D),), 4)
+        assert eng.feed(trace, 4) == [make_log([RawPair(A, B)], PAIR16)]
+        assert eng.finalize() == make_log([RawPair(B, D)], PAIR16)
 
     def test_match_never_spans_boundary(self):
         # slice budget of 2 pairs; a 3-entry spec occurrence straddling the
@@ -490,9 +486,9 @@ def test_slices_equal_oracle_across_grid(inst):
 
 
 def assert_same_log(ours, want, config):
-    """``ours``, a log the engine emitted, is the oracle's element log
-    ``want`` in every way a caller sees; its image bytes are checked
-    while its elements are still undecoded."""
+    """``ours``, a log the engine emitted, is the oracle's log ``want``
+    in every way a caller sees; its image bytes are checked while its
+    elements are still undecoded."""
     assert ours.words is not None
     assert serialize_log(ours, config) == serialize_log(want, config)
     assert hash(ours) == hash(want)
@@ -525,10 +521,10 @@ def test_word_logs_equal_oracle_logs(inst, data):
 
 
 def test_word_log_under_another_config_serializes_its_elements():
-    log = compress_trace(ABD_TRACE * 2 + pairs((G, X)), [ABD_SPEC], PAIR16)
-    copy = Log(log.elements, log.size_bytes)
+    trace = ABD_TRACE * 2 + pairs((G, X))
+    log = compress_trace(trace, [ABD_SPEC], PAIR16)
     wide = EngineConfig(addr_width=32)
-    assert serialize_log(log, wide) == serialize_log(copy, wide)
+    assert serialize_log(log, wide) == serialize_log(compress_trace(trace, [ABD_SPEC], wide), wide)
     with pytest.raises(ModeMismatch):
         serialize_log(log, EngineConfig(mode=Mode.DEST))
 
@@ -556,13 +552,9 @@ def test_fast_paths_decode_nothing(decodes):
     assert len(prover.run(trace)) == 2
     build_report("fast", trace, [ABD_SPEC], PAIR16, include_baseline=True)
     prior = encode_raw(trace, PAIR16)
-    mined = enumerate_candidates([prior], (2, 4))
-    saved = estimate_savings(ABD_SPEC, [prior], PAIR16)
+    enumerate_candidates([prior], (2, 4))
+    estimate_savings(ABD_SPEC, [prior], PAIR16)
     assert decodes == []
-    copy = Log(prior.elements, prior.size_bytes)  # a hand-built element log
-    assert mined == enumerate_candidates([copy], (2, 4))
-    assert saved == estimate_savings(ABD_SPEC, [copy], PAIR16)
-    decodes.clear()
     log = compress_trace(trace, [ABD_SPEC], PAIR16)
     assert log.elements[:3] == (Symbol(1), RepeatCount(3), RawPair(G, X))
     assert len(decodes) == 1

@@ -14,6 +14,7 @@ from cfaudit.model import (
     Mode,
     RawDest,
     RawPair,
+    RepeatCount,
     SubPathSpec,
     Symbol,
     Transfer,
@@ -126,18 +127,47 @@ def test_log_sizes():
 def test_log_fields_and_immutability():
     cfg = EngineConfig()
     words = (0x0400, 0x0500, 1)
-    word_log = Log.from_words(words, cfg)
-    assert (word_log.words, word_log.config, word_log.size_bytes) == (words, cfg, 6)
-    element_log = Log((RawPair(0x0400, 0x0500), Symbol(1)), 6)
-    assert element_log.words is None and element_log.config is None
-    assert word_log.elements == element_log.elements
-    assert word_log == element_log and hash(word_log) == hash(element_log)
-    for log in (word_log, element_log):
-        with pytest.raises(FrozenInstanceError):
-            log.size_bytes = 0
-        with pytest.raises(FrozenInstanceError):
-            del log.words
-        assert pickle.loads(pickle.dumps(log)) == log
+    log = Log(words, cfg)
+    assert (log.words, log.config, log.size_bytes) == (words, cfg, 6)
+    assert log.elements == (RawPair(0x0400, 0x0500), Symbol(1))
+    built = make_log(log.elements, cfg)
+    assert built.words == words and built == log and hash(built) == hash(log)
+    with pytest.raises(FrozenInstanceError):
+        log.size_bytes = 0
+    with pytest.raises(FrozenInstanceError):
+        del log.words
+    assert pickle.loads(pickle.dumps(log)) == log
+
+
+@pytest.mark.parametrize("elements, config", [
+    ((RawPair(0x0400, 0x0500), Symbol(1), RepeatCount(2)), EngineConfig()),
+    ((RawDest(0x0400), RawDest(0x0500), Symbol(1)), EngineConfig(mode=Mode.DEST)),
+    ((Symbol(1), Symbol(2)), EngineConfig()),
+    ((Symbol(1), RepeatCount(3)), EngineConfig(mode=Mode.DEST)),
+    ((), EngineConfig()),
+    ((), EngineConfig(mode=Mode.DEST)),
+], ids=["pair", "dest", "symbols-pair", "symbols-dest", "empty-pair", "empty-dest"])
+def test_log_equality_keys_on_layout(elements, config):
+    # equality, hash and pickle key on (words, mode, addr_width)
+    log = make_log(elements, config)
+    words = log.words
+    flipped = replace(config, slice_size_bytes=8, retry_on_mismatch=not config.retry_on_mismatch)
+    for same in (config, replace(config), flipped):
+        twin = Log(words, same)
+        assert hash(twin) == hash(log) and twin._elements is None  # hashing decodes nothing
+        assert twin == log and log == twin and not twin != log
+        assert pickle.loads(pickle.dumps(twin)) == log
+        assert log.image(same) is words
+    other_mode = Mode.DEST if config.mode is Mode.PAIR else Mode.PAIR
+    wide = make_log(elements, replace(config, addr_width=32))
+    crossed = Log(words, replace(config, mode=other_mode))  # the same words
+    if not any(isinstance(e, (RawPair, RawDest)) for e in elements):
+        assert crossed.elements == log.elements  # and the same elements
+    for other in (wide, crossed):
+        assert other != log and log != other and not other == log
+        assert pickle.loads(pickle.dumps(other)) != log
+        assert pickle.loads(pickle.dumps(other)) == other
+    assert wide.elements == log.elements
 
 
 @st.composite
@@ -160,12 +190,11 @@ def test_word_log_equality_agrees_with_elements(inst):
     # an equal config that is not the same object
     b = compress_trace(other, specs, replace(config))
     same = a.elements == b.elements and a.size_bytes == b.size_bytes
-    b_elements = Log(b.elements, b.size_bytes)
-    for x, y in ((a, b), (a, b_elements), (b_elements, a)):
+    for x, y in ((a, b), (b, a)):
         assert (x == y) is same and (x != y) is not same
         if same:
             assert hash(x) == hash(y)
     if config.addr_width == 16 and trace:  # the same elements in wider words
         wide = compress_trace(trace, specs, replace(config, addr_width=32))
         assert wide.elements == a.elements and wide.size_bytes == 2 * a.size_bytes
-        assert wide != a and a != wide and Log(wide.elements, wide.size_bytes) != a
+        assert wide != a and a != wide

@@ -13,6 +13,7 @@ from cfaudit.errors import (
     AuthError,
     CapacityExceeded,
     ConfigMismatch,
+    FaultOutOfRange,
     MalformedFrame,
     MalformedLog,
     ModeMismatch,
@@ -21,7 +22,7 @@ from cfaudit.errors import (
     UnknownSymbol,
 )
 from cfaudit.fixtures import sensor_cfg, sensor_profile
-from cfaudit.model import EngineConfig, Log, LogFormat, Mode, SubPathSpec, Transfer
+from cfaudit.model import EngineConfig, LogFormat, Mode, SubPathSpec, Transfer, make_log
 from cfaudit.protocol import (
     ACCEPT,
     ZERO_DIGEST,
@@ -283,6 +284,38 @@ class TestSliceStream:
         assert verdict.outcome is Outcome.AUTH_FAILURE and verdict.reason == "bad_digest"
 
 
+class TestChannelFaultRange:
+    """A fault names a frame that was sent and a bit of that frame."""
+
+    @staticmethod
+    def channel(faults):
+        channel = Channel(faults)
+        channel.send(b"abcd")
+        channel.send(b"xyz")
+        return channel
+
+    @pytest.mark.parametrize("faults, message", [
+        (ChannelFaults(drop={2}), "drop frame 2 is not one of the 2 frames sent"),
+        (ChannelFaults(replay={0, 99}), "replay frame 99 is not one of the 2 frames sent"),
+        (ChannelFaults(flip={2: 0}), "flip frame 2 is not one of the 2 frames sent"),
+        (ChannelFaults(reorder={2}), "reorder frame 2 is not one of the 2 frames sent"),
+        (ChannelFaults(drop={-1}), "drop frame -1 is not one of the 2 frames sent"),
+        (ChannelFaults(flip={1: 24}), "flip bit 24 is not one of frame 1's 24 bits"),
+        (ChannelFaults(flip={0: 99999}), "flip bit 99999 is not one of frame 0's 32 bits"),
+        (ChannelFaults(flip={0: -1}), "flip bit -1 is not one of frame 0's 32 bits"),
+    ], ids=["drop", "replay", "flip", "reorder", "negative", "bit", "far-bit", "negative-bit"])
+    def test_fault_outside_what_was_sent_raises(self, faults, message):
+        # it would otherwise be ignored, or flip some other bit
+        with pytest.raises(FaultOutOfRange) as info:
+            self.channel(faults).drain()
+        assert str(info.value) == message
+
+    def test_last_frame_and_last_bit_are_faulted(self):
+        faults = ChannelFaults(drop={0}, flip={1: 23}, replay={1})
+        assert self.channel(faults).drain() == [b"xy\xfa", b"xy\xfa"]
+        assert self.channel(ChannelFaults(drop={1})).drain() == [b"abcd"]
+
+
 class TestAssembly:
     def test_incomplete_without_final(self):
         verifier = Verifier(KEY, CONFIG)
@@ -506,7 +539,7 @@ def expanded_verdict(payloads, specs, config, cfg):
             elements.extend(expand(log, specs, config).elements)
     except (MalformedLog, UnknownSymbol, ModeMismatch):
         return Outcome.AUTHENTIC_BUT_INVALID_PATH, "malformed_payload", None, None
-    raw = Log(tuple(elements), len(elements) * config.raw_element_bytes)
+    raw = make_log(elements, config)
     bad = None if cfg is None else validate_against_cfg(raw, cfg)
     outcome = Outcome.AUTHENTIC_AND_VALID if bad is None else Outcome.AUTHENTIC_BUT_INVALID_PATH
     return outcome, None, bad, raw

@@ -14,7 +14,13 @@ from cfaudit import cfg as cfg_module
 from cfaudit import selection
 from cfaudit.cfg import build_cfg, find_loops, segment_cfg
 from cfaudit.codec import blockmem_block_bytes, encode_raw, write_spec_document
-from cfaudit.errors import AddressOutOfRange, MalformedCFG, ModeMismatch, PathExplosion
+from cfaudit.errors import (
+    AddressOutOfRange,
+    EncodingOverlap,
+    MalformedCFG,
+    ModeMismatch,
+    PathExplosion,
+)
 from cfaudit.fixtures import (
     BRANCHY_LEN_RANGE,
     SENSOR_LEN_RANGE,
@@ -28,7 +34,6 @@ from cfaudit.engine import compress_trace
 from cfaudit.model import (
     MAX_REPEAT_COUNT,
     EngineConfig,
-    Log,
     Mode,
     RawDest,
     RawPair,
@@ -63,6 +68,7 @@ from test_cfg import dead_diamonds_document, long_path_document, looped_diamonds
 
 PAIR16 = EngineConfig()
 DEST16 = EngineConfig(mode=Mode.DEST)
+PAIR32 = EngineConfig(addr_width=32)
 
 
 def dest_log(symbols, base=0x0400):
@@ -190,8 +196,6 @@ class TestMiningParity:
         logs, len_range, mode = case
         got = enumerate_candidates(logs, len_range, mode=mode)
         assert got == _reference_enumerate(logs, len_range, mode)
-        copies = [Log(log.elements, log.size_bytes) for log in logs]  # element logs
-        assert enumerate_candidates(copies, len_range, mode=mode) == got
         entry_type = Transfer if mode is Mode.PAIR else int
         assert all(type(e) is entry_type for c in got for e in c.entries)
 
@@ -223,8 +227,8 @@ class TestMiningParity:
 
     @pytest.mark.parametrize("config", [PAIR16, DEST16])
     def test_word_logs_raise_as_element_logs(self, config):
-        # a log the engine made is keyed on its words; it gives what the
-        # same elements give in a hand-built log, errors included
+        # a log is keyed on its words, and a log of the other mode or a
+        # compressed one raises as its first element says
         trace = [Transfer(0x0400, 0x0500), Transfer(0x0500, 0x0400)] * 3
         keys = trace if config.mode is Mode.PAIR else [t.dest for t in trace]
         spec = SubPathSpec(1, keys[1:3])
@@ -252,9 +256,7 @@ class TestMiningParity:
                                 if asked.mode is Mode.PAIR else (0x0400,))
             for fn in (lambda x: enumerate_candidates([x], (1, 2), mode=asked.mode),
                        lambda x: estimate_savings(probe, [x], asked)):
-                got = outcome(fn, log)
-                assert got == outcome(fn, Log(log.elements, log.size_bytes))
-                assert got[0] == want
+                assert outcome(fn, log)[0] == want
 
 
 def held_by_selection(obj):
@@ -340,24 +342,19 @@ class TestKeysMemo:
     def test_key_check_once_per_log(self, built, key_checks):
         trace = [Transfer(0x0400, 0x0500), Transfer(0x0500, 0x0600), Transfer(0x0600, 0x0400)] * 4
         specs = [SubPathSpec(1, trace[:2]), SubPathSpec(2, trace[1:3]), SubPathSpec(3, trace[:1])]
-        # an engine-made log passed the engine's checks under its config
+        # a log's words passed the engine's checks under its config
         log = encode_raw(trace, PAIR16)
-        for spec in specs:
-            estimate_savings(spec, [log], PAIR16)
+        savings = [estimate_savings(spec, [log], PAIR16) for spec in specs]
         assert key_checks == []
-        # an element log is checked once, one call per distinct key
-        copy = Log(log.elements, log.size_bytes)
-        savings = [estimate_savings(spec, [copy], PAIR16) for spec in specs]
-        assert sorted(key_checks) == sorted(set(trace))
-        # so is a word log asked under narrower bounds than its own
-        del key_checks[:]
+        # a log asked under narrower bounds than its own is checked once,
+        # one call per distinct key
         wide = encode_raw(trace, EngineConfig(addr_width=32))
         extra = wide.size_bytes - log.size_bytes  # its raw words are twice as wide
         assert [estimate_savings(spec, [wide], PAIR16) for spec in specs] == [
             s + extra for s in savings
         ]
         assert sorted(key_checks) == sorted(set(trace))
-        assert len(built) == 3
+        assert len(built) == 2
 
 
 class TestKeysMemoPerLog:
@@ -388,10 +385,11 @@ class TestKeysMemoPerLog:
         assert [id(log) for log in built] == [id(log) for log in priors]
         assert savings == [oracle_savings(s, priors, PAIR16) for s in specs]
         assert [log._keys[0] for log in priors] == [Mode.PAIR, Mode.PAIR]
-        assert checked == []  # engine-made logs passed the engine's check
-        # element copies are keyed afresh, each checked once across specs
-        copies = [Log(log.elements, log.size_bytes) for log in priors]
-        assert [estimate_savings(s, copies, PAIR16) for s in specs] == savings
+        assert checked == []  # the logs' words passed the engine's check
+        # 32-bit copies are keyed afresh, each checked once across specs
+        copies = [make_log(log.elements, PAIR32) for log in priors]
+        extra = sum(c.size_bytes - p.size_bytes for c, p in zip(copies, priors))
+        assert [estimate_savings(s, copies, PAIR16) for s in specs] == [s + extra for s in savings]
         assert [id(log) for log in built[2:]] == [id(log) for log in copies]
         assert len(checked) == sum(len(set(log.elements)) for log in copies)
         for log in priors + copies:
@@ -800,8 +798,6 @@ class TestSavingsEngineParity:
         want = engine_savings(spec, traces, config)
         logs = [encode_raw(t, config) for t in traces]
         assert estimate_savings(spec, logs, config) == want
-        copies = [Log(log.elements, log.size_bytes) for log in logs]  # element logs
-        assert estimate_savings(spec, copies, config) == want
         return want
 
     @pytest.mark.parametrize("retry", [False, True])
@@ -868,24 +864,41 @@ class TestSavingsEngineParity:
     def test_errors_match_engine(self, config):
         pair = config.mode is Mode.PAIR
         raw = RawPair if pair else RawDest
-        lo, hi = config.min_code_addr, config.counter_tag
-        good = raw(lo, lo + 1) if pair else raw(lo)
-        cases = [  # elements, spec entries
-            ([good, raw(lo, hi) if pair else raw(hi)], [good]),  # out of range
-            ([good, raw(lo - 1, lo) if pair else raw(lo - 1)], [good]),
-            ([good], [raw(lo, hi) if pair else raw(hi)]),  # a spec validate_spec_set rejects
-        ]
-        if pair:  # a transfer without source, before or after one out of range
-            cases += [
-                ([good, RawPair(hi, lo)], [good]),
-                ([good], [lo]),  # a dest-mode spec in pair mode
-                ([good, RawPair(None, lo), RawPair(lo, hi)], [good]),
-                ([good, RawPair(lo, hi), RawPair(None, lo)], [good]),
+        lo, hi, top = config.min_code_addr, config.counter_tag, 1 << 16
+
+        def bad(x):  # a transfer whose destination is ``x``
+            return raw(lo, x) if pair else raw(x)
+
+        good = bad(lo + 1)
+        # a log holds only code addresses: transfers out of range or
+        # without a source are rejected when their log is built
+        unbuildable = [[good, bad(hi)], [good, raw(lo - 1, lo) if pair else raw(lo - 1)]]
+        if pair:
+            unbuildable += [
+                [good, RawPair(hi, lo)],
+                [good, RawPair(None, lo), RawPair(lo, hi)],
+                [good, RawPair(lo, hi), RawPair(None, lo)],
             ]
-        else:  # a pair-mode spec in dest mode
-            cases.append(([good], [Transfer(lo, lo)]))
-        for elements, entries in cases:
-            log = Log(tuple(elements), len(elements) * config.raw_element_bytes)
+        for elements in unbuildable:
+            with pytest.raises((AddressOutOfRange, EncodingOverlap, TypeError)):
+                make_log(elements, config)
+        cases = [  # elements, the config their log is built under, spec entries
+            ([good], config, [bad(hi)]),  # a spec validate_spec_set rejects
+            # a spec of the other mode
+            ([good], config, [lo] if pair else [Transfer(lo, lo)]),
+        ]
+        if config.addr_width == 16:  # 32-bit logs with keys outside 16-bit range
+            wide = dataclasses.replace(config, addr_width=32)
+            cases += [
+                ([good, bad(hi)], wide, [good]),
+                ([good, bad(top)], wide, [good]),
+                ([good, bad(top), bad(hi)], wide, [good]),  # the first one raises
+                ([good, bad(hi), bad(top)], wide, [good]),
+            ]
+            if pair:
+                cases.append(([good, RawPair(top, lo)], wide, [good]))
+        for elements, built_under, entries in cases:
+            log = make_log(elements, built_under)
             spec = SubPathSpec(1, [e if pair or type(e) is Transfer else e.dest for e in entries])
             trace = [Transfer(*e) if pair else Transfer(None, e.dest) for e in elements]
             want = engine_error(lambda: compress_trace(trace, [spec], config))
