@@ -31,8 +31,6 @@ from .model import (
     Mode,
     SubPathSpec,
     Transfer,
-    _set_elements,
-    decode_image,
     validate_spec_set,
 )
 
@@ -66,9 +64,8 @@ def serialize_log(log: Log, config: EngineConfig, fmt: LogFormat = LogFormat.MEM
 
 def deserialize_log(data: bytes, config: EngineConfig, fmt: LogFormat = LogFormat.MEMORY_IMAGE) -> Log:
     """Decode a whole log; its size is the word bytes it was read from."""
-    words = _unpack(data, config, MalformedLog)
-    log = Log(words, config)
-    _set_elements(log, decode_image(words, config))  # raises on a malformed image
+    log = Log(_unpack(data, config, MalformedLog), config)
+    log.elements  # raises on a malformed image
     return log
 
 

@@ -37,26 +37,29 @@ words, so the memory-image codec packs them as they are; its elements are
 decoded only when they are read, and ``snapshot()`` decodes the buffer.
 ``expand`` reads these words too and writes the raw log's words.
 
+``feed`` first reads its input into one list of keys, which the loop and
+the no-spec path below both run on: a pair-mode key is the transfer (a
+list input is its own key list), a dest-mode key its ``dest``.  An input
+that raises while it is read (a dest-mode item with no ``dest`` too)
+leaves the engine as it was.
+
 A loop body that repeats back to back is replayed rather than stepped.
 Every win returns the automaton to idle, so a win that coalesces (its
 previous word is the same spec's symbol or counter) has read exactly that
 spec's entries from idle, with no win before the last one.  The automaton
 is deterministic, so each further copy of the entries read from idle ends
-in the same win.  After a coalescing win, when the input is a ``list`` or
-``tuple``, the following copies are compared with the entries by slice
-comparison (dest mode compares their ``dest`` projections), for as long as
-the log has room for the next copy read raw (its word count plus the ``len
-- 1`` raw elements the win drops stays within the slice cut, so no slice
-would be emitted inside it).  A matching copy bumps the counter, or starts
-a new symbol when it is saturated.  Bumping keeps the log's length, so
-while the counter is ``c`` or more copies short of ``MAX_REPEAT_COUNT``
-one room check covers ``c`` copies: the next ``c * len`` transfers (``c``
-is ``64 // len``, at least 1) are compared with the entries repeated ``c``
-times, built once per spec, and a match adds ``c`` to the counter.  Once a
-block fails, fewer than ``c`` copies follow, and they are compared one by
-one.  The run's wins are added to ``hits`` once and the iterator skips
-the run.  Any other input is stepped transfer by transfer; both give the
-same words and hits.
+in the same win.  After a coalescing win the following copies are compared
+with the entries as key slices, for as long as the log has room for the
+next copy read raw (its word count plus the ``len - 1`` raw elements the
+win drops stays within the slice cut, so no slice would be emitted inside
+it).  A matching copy bumps the counter, or starts a new symbol when it is
+saturated.  Bumping keeps the log's length, so while the counter is ``c``
+or more copies short of ``MAX_REPEAT_COUNT`` one room check covers ``c``
+copies: the next ``c * len`` keys (``c`` is ``64 // len``, at least 1) are
+compared with the entries repeated ``c`` times, built once per spec, and a
+match adds ``c`` to the counter.  Once a block fails, fewer than ``c``
+copies follow, and they are compared one by one.  The run's wins are
+added to ``hits`` once and the loop skips the run.
 
 The replay's comparisons are fastest when equal addresses are one object,
 as in a generated trace, whose addresses are the CFG's own ints.  Specs
@@ -70,15 +73,14 @@ address and stays compared by value: interning its addresses would cost
 a parse more than it saves a pass.
 
 An engine with no specs writes the raw memory image, the log a plain
-auditing prover sends, so it needs no table.  ``feed`` then reads a
-generator into a list (one that raises leaves the engine as it was) and
-checks each distinct transfer not checked before, with the loop's range
-and mode rules.  It extends the pending words in runs that end at each
-slice cut; a slice is cut before a transfer that finds the log past the
-cut, as in the loop.  If any transfer fails the check, the loop runs over
-the same transfers instead, so the error, the transfer that raises it and
-the state left behind are the loop's own.  The loop stays the only path
-with specs installed, since only it tracks detector state.
+auditing prover sends, so it needs no table.  ``feed`` then checks each
+distinct key not checked before, with the loop's range and mode rules.
+It extends the pending words in runs that end at each slice cut; a slice
+is cut before a transfer that finds the log past the cut, as in the loop.
+If any transfer fails the check, the loop runs over the same keys
+instead, so the error, the transfer that raises it and the state left
+behind are the loop's own.  The loop stays the only path with specs
+installed, since only it tracks detector state.
 """
 
 from __future__ import annotations
@@ -122,13 +124,11 @@ class Engine:
         self._raw_bytes = config.raw_element_bytes
         self._retry = config.retry_on_mismatch
         if self._pair:
-            self._patterns = [tuple((e.src, e.dest) for e in s.entries) for s in specs]
+            self._patterns = [[(e.src, e.dest) for e in s.entries] for s in specs]
         else:
-            self._patterns = [tuple(s.entries) for s in specs]
-        self._pattern_lists = [list(p) for p in self._patterns]
+            self._patterns = [[*s.entries] for s in specs]
         # each body repeated to at most _BLOCK transfers (one copy if longer)
         self._blocks = [p * max(1, _BLOCK // len(p)) for p in self._patterns]
-        self._block_lists = [list(b) for b in self._blocks]
         self._alphabet = frozenset(item for p in self._patterns for item in p)
         self._outside: set = set()  # checked transfers outside the alphabet
         self._lens = [len(p) for p in self._patterns]
@@ -152,7 +152,7 @@ class Engine:
         return decode_image(self._buf, self.config)
 
     def step(self, transfer: Transfer) -> None:
-        self.feed((transfer,))
+        self.feed([transfer])
 
     def feed(self, trace: Iterable[Transfer], slice_limit: int | None = None) -> list[Log]:
         """Compress ``trace`` onto the current log.
@@ -161,8 +161,9 @@ class Engine:
         ``finalize``) whenever appending the next raw element would take
         it past that many bytes; the emitted logs are returned.  A limit
         below one raw element raises ``SliceTooSmall`` before any transfer
-        is read.  On an invalid transfer the engine keeps the state
-        reached before it.
+        is read.  The input is read whole before any of it is compressed:
+        if reading raises, the engine is left as it was, and on an invalid
+        transfer it keeps the state reached before that transfer.
         """
         raw = self._raw_bytes
         if slice_limit is None:
@@ -172,12 +173,15 @@ class Engine:
         else:
             # a log of more words has no room for one more raw element
             cut = (slice_limit - raw) // self._word
+        pair = self._pair
+        if not pair:
+            keys = [*map(_dest_of, trace)]
+        else:
+            keys = trace if type(trace) is list else [*trace]
         if not self._ids:
-            trace = trace if type(trace) in (list, tuple) else [*trace]
-            words = self._raw_words(trace)
+            words = self._raw_words(keys)
             if words is not None:
                 return self._extend_raw(words, cut)
-        pair = self._pair
         config = self.config
         rows = self._rows
         idle_row = rows[0]
@@ -192,21 +196,14 @@ class Engine:
         row = rows[state]
         buf = self._buf
         push = buf.extend if pair else buf.append
-        # only a list or tuple is sliced to replay loop bodies; a pair slice
-        # has the input's type, a dest projection is a list
-        seq = trace if type(trace) in (list, tuple) else None
-        if not pair or type(trace) is list:
-            bodies, blocks = self._pattern_lists, self._block_lists
-        else:
-            bodies, blocks = self._patterns, self._blocks
-        it = iter(trace)
+        bodies, blocks = self._patterns, self._blocks
+        it = iter(keys)
         try:
-            for t in it:
+            for key in it:
                 if len(buf) > cut:
                     out.append(Log(tuple(buf), config))
                     buf, state, row = [], 0, idle_row
                     push = buf.extend if pair else buf.append
-                key = t if pair else t.dest
                 entry = row.get(key)
                 if entry is None:
                     entry = self._miss(state, key)
@@ -232,8 +229,6 @@ class Engine:
                     continue
                 # a coalescing win read this body from idle: replay the
                 # copies that follow it (see the module docstring)
-                if seq is None:
-                    continue
                 pattern = bodies[winner]
                 block = blocks[winner]
                 n = len(pattern)
@@ -241,21 +236,17 @@ class Engine:
                 c = m // n
                 top = full - c  # a counter up to this takes c more copies
                 room = cut - drop
-                start = end = len(seq) - length_hint(it)
+                start = end = len(keys) - length_hint(it)
                 bulk = True
                 while len(buf) <= room:
                     tail = buf[-1]  # this spec's symbol or counter
                     if bulk and tag < tail <= top:
-                        if (
-                            seq[end : end + m] if pair else [*map(_dest_of, seq[end : end + m])]
-                        ) == block:
+                        if keys[end : end + m] == block:
                             end += m
                             buf[-1] = tail + c
                             continue
                         bulk = False  # fewer than c copies follow
-                    if (
-                        seq[end : end + n] if pair else [*map(_dest_of, seq[end : end + n])]
-                    ) != pattern:
+                    if keys[end : end + n] != pattern:
                         break
                     end += n
                     if tail == sid:
@@ -271,16 +262,15 @@ class Engine:
             self._buf, self._state = buf, state
         return out
 
-    def _raw_words(self, seq: Sequence) -> list | None:
-        """The memory-image words of ``seq`` read raw, or None when some
-        transfer fails ``_miss``'s checks: the loop raises at that one."""
+    def _raw_words(self, keys: list) -> list | None:
+        """The memory-image words of ``keys`` read raw, or None when some
+        key fails ``_miss``'s checks: the loop raises at that one."""
         try:
-            keys = seq if self._pair else [*map(_dest_of, seq)]
             for key in set(keys).difference(self._outside):
                 self._miss(0, key)
         except Exception:  # whatever fails here, the loop raises in place
             return None
-        return [*chain.from_iterable(seq)] if self._pair else keys
+        return [*chain.from_iterable(keys)] if self._pair else keys
 
     def _extend_raw(self, words: list, cut: int) -> list[Log]:
         """Append raw ``words`` to the pending log, emitting it wherever
@@ -344,10 +334,9 @@ class Engine:
         """Rebuild spec ``k``'s body and block with ``item`` in place of
         every entry equal to it, so the replay compares the input's own
         objects."""
-        pattern = tuple(item if e == item else e for e in self._patterns[k])
-        block = pattern * (len(self._blocks[k]) // len(pattern))
-        self._patterns[k], self._pattern_lists[k] = pattern, list(pattern)
-        self._blocks[k], self._block_lists[k] = block, list(block)
+        pattern = [item if e == item else e for e in self._patterns[k]]
+        self._blocks[k] = pattern * (len(self._blocks[k]) // len(pattern))
+        self._patterns[k] = pattern
 
     def finalize(self) -> Log:
         """Emit the accumulated log; abandoned partial matches stay raw.

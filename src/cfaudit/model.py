@@ -239,7 +239,8 @@ def encode_elements(elements: Iterable[LogElement], config: EngineConfig) -> lis
     """The memory-image words of ``elements`` under ``config``
     (``decode_image``'s inverse): an address misses the symbol and counter
     words and a counter carries ``counter_tag``.  Raises on any sequence
-    the engine cannot emit (a misplaced counter, the other mode's element)."""
+    the engine cannot emit (a misplaced counter, the other mode's element,
+    a pair without source, an address that is not an int)."""
     pair = config.mode is Mode.PAIR
     raw, other = (RawPair, RawDest) if pair else (RawDest, RawPair)
     width = config.addr_width
@@ -250,7 +251,11 @@ def encode_elements(elements: Iterable[LogElement], config: EngineConfig) -> lis
         kind = type(el)
         if kind is raw:
             for a in el:
-                if not lo <= a < tag:
+                if not (isinstance(a, int) and lo <= a < tag):
+                    if pair and el.src is None:
+                        raise ModeMismatch("pair-mode log element without source")
+                    if not isinstance(a, int):
+                        raise MalformedLog(f"address {a!r} is not an int")
                     if 0 <= a < 1 << width:
                         raise EncodingOverlap(f"address {a:#x} collides with symbol/counter words")
                     raise AddressOutOfRange(f"address {a:#x} does not fit {width} bits")

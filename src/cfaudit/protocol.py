@@ -511,13 +511,16 @@ class Channel:
 
     def drain(self) -> list[bytes]:
         """The frames sent so far, as the faults deliver them.  A fault on a
-        frame or a bit that was not sent raises ``FaultOutOfRange``."""
+        frame or a bit that was not sent, or a reorder of the last frame,
+        raises ``FaultOutOfRange``."""
         faults, n = self.faults, len(self._sent)
         for what, frames in (("drop", faults.drop), ("flip", faults.flip),
                              ("replay", faults.replay), ("reorder", faults.reorder)):
             for i in sorted(frames):
                 if not 0 <= i < n:
                     raise FaultOutOfRange(f"{what} frame {i} is not one of the {n} frames sent")
+        if n - 1 in faults.reorder:
+            raise FaultOutOfRange(f"reorder frame {n - 1} is the last of the {n} frames sent")
         for i, bit in faults.flip.items():
             if not 0 <= bit < 8 * len(self._sent[i]):
                 raise FaultOutOfRange(

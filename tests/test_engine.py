@@ -539,7 +539,7 @@ def decodes(monkeypatch):
         calls.append(len(words))
         return decode(words, config)
 
-    for module in (model, codec, engine_module):
+    for module in (model, engine_module):
         monkeypatch.setattr(module, "decode_image", counted)
     return calls
 
@@ -627,6 +627,28 @@ class TestErrorParity:
             compress_trace(prefix + [bad], specs, config)
         with pytest.raises(error):
             slice_compress(prefix + [bad], specs, config)
+
+    @pytest.mark.parametrize("mode, tail, error", [
+        (Mode.PAIR, None, OSError),
+        (Mode.DEST, None, OSError),
+        (Mode.DEST, A, AttributeError),  # a dest-mode item with no dest
+    ], ids=["pair", "dest", "dest-no-dest"])
+    def test_a_source_that_fails_leaves_the_engine_as_it_was(self, mode, tail, error):
+        # the engine reads its input before it compresses any of it
+        body = pairs((A, B), (B, D))
+        spec = SubPathSpec(1, body if mode is Mode.PAIR else [t.dest for t in body])
+
+        def source():
+            yield from body + pairs((D, A))
+            if tail is None:
+                raise OSError("source lost")
+            yield tail
+
+        eng = Engine([spec], EngineConfig(mode=mode))
+        with pytest.raises(error):
+            eng.feed(source())
+        assert eng.snapshot() == ()
+        assert eng.hits == {1: 0}
 
 
 # --- no-spec raw path ---------------------------------------------------------
@@ -932,8 +954,8 @@ class TestReplay:
         return hits
 
     def check_replay(self, feeds, specs, config, sliced):
-        """Feed each of ``feeds`` as a list, a tuple and a generator (which
-        steps); each gives the oracle's logs and wins."""
+        """Feed each of ``feeds`` as a list, a tuple and a generator; each
+        gives the oracle's logs and wins."""
         trace = [t for feed in feeds for t in feed]
         limit = config.slice_size_bytes if sliced else None
         want = oracle_slice_compress(trace, specs, config) if sliced else [

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfaudit.engine import compress_trace
-from cfaudit.errors import AddressOutOfRange, LenOverflow
+from cfaudit.errors import AddressOutOfRange, LenOverflow, MalformedLog, ModeMismatch
 from cfaudit.model import (
     MIN_CODE_ADDR,
     EngineConfig,
@@ -122,6 +122,20 @@ def test_log_sizes():
     assert make_log(els, cfg32).size_bytes == 12
     dcfg = EngineConfig(mode=Mode.DEST)
     assert make_log([RawDest(0x0400)], dcfg).size_bytes == 2
+
+
+@pytest.mark.parametrize("element, mode, error, message", [
+    (RawPair(None, 0x0500), Mode.PAIR, ModeMismatch, "pair-mode log element without source"),
+    (RawPair(None, None), Mode.PAIR, ModeMismatch, "pair-mode log element without source"),
+    (RawPair(0x0500, None), Mode.PAIR, MalformedLog, "address None is not an int"),
+    (RawPair(0x0500, "0x600"), Mode.PAIR, MalformedLog, "address '0x600' is not an int"),
+    (RawDest(None), Mode.DEST, MalformedLog, "address None is not an int"),
+    (RawDest(1280.0), Mode.DEST, MalformedLog, "address 1280.0 is not an int"),  # in range
+], ids=["no-source", "no-addresses", "no-dest", "str", "dest-none", "float"])
+def test_an_address_that_is_not_an_int_is_rejected(element, mode, error, message):
+    with pytest.raises(error) as info:
+        make_log([element], EngineConfig(mode=mode))
+    assert str(info.value) == message
 
 
 def test_log_fields_and_immutability():

@@ -299,11 +299,13 @@ class TestChannelFaultRange:
         (ChannelFaults(replay={0, 99}), "replay frame 99 is not one of the 2 frames sent"),
         (ChannelFaults(flip={2: 0}), "flip frame 2 is not one of the 2 frames sent"),
         (ChannelFaults(reorder={2}), "reorder frame 2 is not one of the 2 frames sent"),
+        (ChannelFaults(reorder={1}), "reorder frame 1 is the last of the 2 frames sent"),
         (ChannelFaults(drop={-1}), "drop frame -1 is not one of the 2 frames sent"),
         (ChannelFaults(flip={1: 24}), "flip bit 24 is not one of frame 1's 24 bits"),
         (ChannelFaults(flip={0: 99999}), "flip bit 99999 is not one of frame 0's 32 bits"),
         (ChannelFaults(flip={0: -1}), "flip bit -1 is not one of frame 0's 32 bits"),
-    ], ids=["drop", "replay", "flip", "reorder", "negative", "bit", "far-bit", "negative-bit"])
+    ], ids=["drop", "replay", "flip", "reorder", "reorder-last", "negative", "bit", "far-bit",
+         "negative-bit"])
     def test_fault_outside_what_was_sent_raises(self, faults, message):
         # it would otherwise be ignored, or flip some other bit
         with pytest.raises(FaultOutOfRange) as info:
@@ -473,8 +475,8 @@ def test_verifier_never_raises(plan, config):
                 faults.drop.add(k)
             elif fault == "replay":
                 faults.replay.add(k)
-            elif fault == "swap":
-                faults.reorder.add(k)
+            elif fault == "swap" and len(frames) > 1:  # the last frame has no successor
+                faults.reorder.add(rng.randrange(len(frames) - 1))
             channel = Channel(faults)
             for f in frames:
                 channel.send(f)

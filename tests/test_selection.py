@@ -880,7 +880,7 @@ class TestSavingsEngineParity:
                 [good, RawPair(lo, hi), RawPair(None, lo)],
             ]
         for elements in unbuildable:
-            with pytest.raises((AddressOutOfRange, EncodingOverlap, TypeError)):
+            with pytest.raises((AddressOutOfRange, EncodingOverlap, ModeMismatch)):
                 make_log(elements, config)
         cases = [  # elements, the config their log is built under, spec entries
             ([good], config, [bad(hi)]),  # a spec validate_spec_set rejects
