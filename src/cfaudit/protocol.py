@@ -19,12 +19,17 @@ challenge never verifies in another session.  Slice payloads are
 memory-image log bytes.  An empty request blockmem means "keep the
 currently installed specs".
 
-The verifier judges a session on its payload words in one pass: a symbol
-stands for a whole installed spec, whose CFG verdict is worked out once
-per ``assemble`` call, so no symbol is expanded to judge it.  The full raw
-log is built only when ``Verdict.raw_log`` is read: the payloads' joined
-words are expanded once into one word log, whose elements are decoded
-when they are read.
+The verifier judges a session on its payload words in one pass.  It
+reads the CFG's edges from a table built once per CFG object: in pair mode
+each source word maps to its destinations, so a raw pair is one lookup of
+its source and one membership test of its partner, and in dest mode the
+table is the set of destinations.  A symbol stands for a whole installed
+spec, whose CFG verdict is worked out once per ``assemble`` call, so no
+symbol is expanded to judge it, and a symbol whose spec holds only CFG
+edges costs one lookup.  Words that take neither shortcut are classed and
+judged by the full rules.  The full raw log is built only when
+``Verdict.raw_log`` is read: the payloads' joined words are expanded once
+into one word log, whose elements are decoded when they are read.
 """
 
 from __future__ import annotations
@@ -141,18 +146,27 @@ class EvidenceSlice:
 
     @classmethod
     def decode(cls, frame: bytes) -> "EvidenceSlice":
-        start = _SLICE_HEADER.size
-        if len(frame) < start + MAC_BYTES:
-            raise MalformedFrame("slice frame too short")
-        seq, flag, payload_len = _SLICE_HEADER.unpack_from(frame)
-        if flag not in (0, 1):
-            raise MalformedFrame("bad final flag")
-        end = start + payload_len
-        tail = end + DIGEST_BYTES if flag else end
-        if len(frame) != tail + MAC_BYTES:
-            raise MalformedFrame("slice frame length mismatch")
+        seq, flag, end, tail = _slice_fields(frame)
         digest = frame[end:tail] if flag else None
-        return cls(seq, bool(flag), frame[start:end], frame[tail:], digest)
+        return cls(seq, bool(flag), frame[_SLICE_HEADER.size:end], frame[tail:], digest)
+
+
+def _slice_fields(frame: bytes) -> tuple[int, int, int, int]:
+    """A slice frame's seq, final flag (0 or 1), payload end and MAC start,
+    the one parse of a slice frame's layout; raises ``MalformedFrame``.  The
+    payload starts at ``_SLICE_HEADER.size`` and a final slice's digest
+    lies between the payload end and the MAC."""
+    start = _SLICE_HEADER.size
+    if len(frame) < start + MAC_BYTES:
+        raise MalformedFrame("slice frame too short")
+    seq, flag, payload_len = _SLICE_HEADER.unpack_from(frame)
+    if flag not in (0, 1):
+        raise MalformedFrame("bad final flag")
+    end = start + payload_len
+    tail = end + DIGEST_BYTES if flag else end
+    if len(frame) != tail + MAC_BYTES:
+        raise MalformedFrame("slice frame length mismatch")
+    return seq, flag, end, tail
 
 
 def make_request(
@@ -291,9 +305,9 @@ class Verifier:
         self._final_seen = False
         self._image_digest: bytes | None = None
         self.rejections: list[tuple[int | None, str]] = []
-        # the last CFG judged against and its edges as ``_first_invalid``
-        # reads them, coded once per CFG object
-        self._coded: tuple[CFG, frozenset[int]] | None = None
+        # the last CFG judged against and its ``_edge_table``, built once per
+        # CFG object
+        self._edges: tuple[CFG, dict[int, frozenset[int]] | frozenset[int]] | None = None
 
     def open_session(
         self,
@@ -302,7 +316,8 @@ class Verifier:
         capacity_bytes: int | None = None,
     ) -> Request:
         specs = tuple(specs)
-        challenge = challenge or new_challenge()
+        if challenge is None:
+            challenge = new_challenge()
         # a request that fails to build leaves the last session as it was
         request = make_request(self._key, challenge, specs, self.config, capacity_bytes)
         if specs:  # an empty blockmem keeps the installed specs, as on the prover
@@ -323,26 +338,26 @@ class Verifier:
         if self.challenge is None:
             raise ProtocolError("no open session")
         try:
-            s = EvidenceSlice.decode(frame)
+            seq, final, end, tail = _slice_fields(frame)
         except MalformedFrame:
             self.rejections.append((None, "malformed"))
             return "malformed"
         if self._final_seen:
-            self.rejections.append((s.seq, "after_final"))
+            self.rejections.append((seq, "after_final"))
             return "after_final"
-        if s.seq != self._expected_seq:
-            self.rejections.append((s.seq, "bad_seq"))
+        if seq != self._expected_seq:
+            self.rejections.append((seq, "bad_seq"))
             return "bad_seq"
         mac = self._mac_state.copy()
-        mac.update(frame[:-MAC_BYTES])
-        if not hmac.compare_digest(mac.digest(), s.mac):
-            self.rejections.append((s.seq, "bad_mac"))
+        mac.update(frame[:tail])
+        if not hmac.compare_digest(mac.digest(), frame[tail:]):
+            self.rejections.append((seq, "bad_mac"))
             return "bad_mac"
-        self._payloads.append(s.payload)
+        self._payloads.append(frame[_SLICE_HEADER.size:end])
         self._expected_seq += 1
-        if s.is_final:
+        if final:
             self._final_seen = True
-            self._image_digest = s.image_digest
+            self._image_digest = frame[end:tail]
         return ACCEPT
 
     def assemble(
@@ -360,9 +375,9 @@ class Verifier:
             return Verdict(Outcome.INCOMPLETE, reason="final slice not received")
         if expected_digest is not None and self._image_digest != expected_digest:
             return Verdict(Outcome.AUTH_FAILURE, reason="bad_digest")
-        if cfg is not None and (self._coded is None or self._coded[0] is not cfg):
-            self._coded = cfg, _coded_edges(cfg, self.config)
-        edges = None if cfg is None else self._coded[1]
+        if cfg is not None and (self._edges is None or self._edges[0] is not cfg):
+            self._edges = cfg, _edge_table(cfg, self.config)
+        edges = None if cfg is None else self._edges[1]
         try:
             bad = _first_invalid(self._payloads, self.session_specs, self.config, edges)
         except MalformedLog:
@@ -381,72 +396,103 @@ class Verifier:
         )
 
 
-def _coded_edges(cfg: CFG, config: EngineConfig) -> frozenset[int]:
-    """``cfg``'s edges as ``_first_invalid`` judges them.
+def _edge_table(cfg: CFG, config: EngineConfig) -> dict[int, frozenset[int]] | frozenset[int]:
+    """``cfg``'s edges as ``_first_invalid`` reads them.
 
-    In pair mode an edge is one int, its code ``src << addr_width | dest``,
-    so a raw pair hashes one int and builds no tuple.  Only edges between
-    address words, both ends in ``[min_code_addr, counter_tag)``, are
-    coded: no other pair can be read from a payload, and an end past the
-    word would make its code another pair's (``0x0400 << 16 | 0x10500`` is
-    ``0x0401 << 16 | 0x0500``).  In dest mode an edge is its destination."""
-    if config.mode is not Mode.PAIR:
-        return cfg.valid_dests()
+    In pair mode, each edge source maps to the frozenset of its
+    destinations, so a raw pair costs one lookup of its source word and one
+    membership test of its partner.  In dest mode, the frozenset of edge
+    destinations.  Only edges whose ends are address words, in
+    ``[min_code_addr, counter_tag)``, are kept: no other pair can be read
+    from a payload, and the walk counts a word found in the table as one
+    transfer without testing its class, so a block at a symbol id or in the
+    counter range must not be found there."""
     tag = config.counter_tag
     lo = config.min_code_addr
-    width = config.addr_width
-    return frozenset(
-        src << width | dest
-        for src, dest in cfg.valid_pairs()
-        if lo <= src < tag and lo <= dest < tag
-    )
+    if config.mode is not Mode.PAIR:
+        return frozenset(d for d in cfg.valid_dests() if lo <= d < tag)
+    table: dict[int, set[int]] = {}
+    for src, dest in cfg.valid_pairs():
+        if lo <= src < tag and lo <= dest < tag:
+            table.setdefault(src, set()).add(dest)
+    return {src: frozenset(dests) for src, dests in table.items()}
 
 
 def _first_invalid(
     payloads: Sequence[bytes],
     specs: Sequence[SubPathSpec],
     config: EngineConfig,
-    edges: frozenset[int] | None,
+    edges: dict[int, frozenset[int]] | frozenset[int] | None,
 ) -> int | None:
     """Raw-transfer index of the first transfer in ``payloads`` that is not
-    one of ``edges``, a CFG's ``_coded_edges`` (None if every one is, or
+    one of ``edges``, a CFG's ``_edge_table`` (None if every one is, or
     without ``edges``), read from the memory-image words in one pass
     without expanding a symbol.  Raises ``MalformedLog`` wherever
     ``deserialize_log`` or ``expand`` would raise, in any payload, so a
     later malformed payload outweighs an invalid path.
 
-    The session's spec entries are address words, checked when the session
-    opened, and are judged on the same codes as raw transfers."""
+    Most words take one of two early-outs: a CFG edge source whose partner
+    is one of its destinations (in dest mode, a destination) is one valid
+    transfer, and a symbol whose spec holds only CFG edges (every spec,
+    without ``edges``) is its spec's length.  Every other word, a source
+    with its partner already read among them, is classed and judged by the
+    full rules.  The session's spec entries are address words, checked when
+    the session opened, and are judged on the same table as raw transfers."""
     pair = config.mode is Mode.PAIR
     tag = config.counter_tag
     lo = config.min_code_addr
-    width = config.addr_width
-    # per spec id: its length and its first entry that is no CFG edge
-    spans: dict[int, tuple[int, int | None]] = {}
+    check = edges is not None  # until the first invalid transfer is found
+    table = {} if edges is None else edges
+    # per spec id: its length if every entry is a CFG edge, else its length
+    # and its first entry that is no CFG edge
+    clean: dict[int, int] = {}
+    broken: dict[int, tuple[int, int]] = {}
     for spec in specs:
         bad = None
-        if edges is not None:
-            keys = (e.src << width | e.dest for e in spec.entries) if pair else spec.entries
-            bad = next((i for i, k in enumerate(keys) if k not in edges), None)
-        spans[spec.id] = (spec.length, bad)
+        if check:
+            if pair:
+                edge = (e.dest in table.get(e.src, ()) for e in spec.entries)
+            else:
+                edge = (d in table for d in spec.entries)
+            bad = next((i for i, ok in enumerate(edge) if not ok), None)
+        if bad is None:
+            clean[spec.id] = spec.length
+        else:
+            broken[spec.id] = (spec.length, bad)
     first: int | None = None
-    check = edges is not None  # until the first invalid transfer is found
     offset = 0  # raw transfers before the current word
     for payload in payloads:
         words = iter(_unpack(payload, config, MalformedLog))
         length = 0  # of the symbol directly before, in this payload
         for v in words:
-            # most words are addresses, so that class is tested first
+            if pair:
+                dests = table.get(v)
+                if dests is not None:
+                    d = next(words, None)
+                    if d in dests:
+                        offset += 1
+                        length = 0
+                        continue
+            elif v in table:
+                offset += 1
+                length = 0
+                continue
+            n = clean.get(v)
+            if n is not None:
+                offset += n
+                length = n
+                continue
+            # the full rules, a source's partner already read
             if lo <= v < tag:
                 if pair:
-                    d = next(words, None)
+                    if dests is None:
+                        d = next(words, None)
                     if d is None:
                         raise MalformedLog("truncated pair")
                     if not lo <= d < tag:
                         raise MalformedLog("pair destination is not an address word")
-                    if check and (v << width | d) not in edges:
-                        first, check = offset, False
-                elif check and v not in edges:
+                # an address pair that takes no early-out is no CFG edge
+                if check:
                     first, check = offset, False
                 offset += 1
                 length = 0
@@ -461,11 +507,11 @@ def _first_invalid(
             elif v <= MAX_SYMBOL_ID:
                 if v == 0:
                     raise MalformedLog("zero word is neither symbol nor address")
-                span = spans.get(v)
+                span = broken.get(v)
                 if span is None:
                     raise MalformedLog(f"symbol {v} has no installed spec")
                 length, bad = span
-                if check and bad is not None:
+                if check:
                     first, check = offset + bad, False
                 offset += length
             else:
@@ -511,8 +557,8 @@ class Channel:
 
     def drain(self) -> list[bytes]:
         """The frames sent so far, as the faults deliver them.  A fault on a
-        frame or a bit that was not sent, or a reorder of the last frame,
-        raises ``FaultOutOfRange``."""
+        frame or a bit that was not sent, or a reorder of the last frame or
+        of a frame whose successor is dropped, raises ``FaultOutOfRange``."""
         faults, n = self.faults, len(self._sent)
         for what, frames in (("drop", faults.drop), ("flip", faults.flip),
                              ("replay", faults.replay), ("reorder", faults.reorder)):
@@ -521,6 +567,10 @@ class Channel:
                     raise FaultOutOfRange(f"{what} frame {i} is not one of the {n} frames sent")
         if n - 1 in faults.reorder:
             raise FaultOutOfRange(f"reorder frame {n - 1} is the last of the {n} frames sent")
+        for i in sorted(faults.reorder):
+            if i + 1 in faults.drop:
+                raise FaultOutOfRange(
+                    f"reorder frame {i} swaps with frame {i + 1}, which is dropped")
         for i, bit in faults.flip.items():
             if not 0 <= bit < 8 * len(self._sent[i]):
                 raise FaultOutOfRange(

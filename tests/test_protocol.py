@@ -21,7 +21,7 @@ from cfaudit.errors import (
     TooManySpecs,
     UnknownSymbol,
 )
-from cfaudit.fixtures import sensor_cfg, sensor_profile
+from cfaudit.fixtures import branchy_cfg, branchy_profile, sensor_cfg, sensor_profile
 from cfaudit.model import EngineConfig, LogFormat, Mode, SubPathSpec, Transfer, make_log
 from cfaudit.protocol import (
     ACCEPT,
@@ -300,17 +300,27 @@ class TestChannelFaultRange:
         (ChannelFaults(flip={2: 0}), "flip frame 2 is not one of the 2 frames sent"),
         (ChannelFaults(reorder={2}), "reorder frame 2 is not one of the 2 frames sent"),
         (ChannelFaults(reorder={1}), "reorder frame 1 is the last of the 2 frames sent"),
+        (ChannelFaults(reorder={0}, drop={1}),
+         "reorder frame 0 swaps with frame 1, which is dropped"),
         (ChannelFaults(drop={-1}), "drop frame -1 is not one of the 2 frames sent"),
         (ChannelFaults(flip={1: 24}), "flip bit 24 is not one of frame 1's 24 bits"),
         (ChannelFaults(flip={0: 99999}), "flip bit 99999 is not one of frame 0's 32 bits"),
         (ChannelFaults(flip={0: -1}), "flip bit -1 is not one of frame 0's 32 bits"),
-    ], ids=["drop", "replay", "flip", "reorder", "reorder-last", "negative", "bit", "far-bit",
-         "negative-bit"])
+    ], ids=["drop", "replay", "flip", "reorder", "reorder-last", "reorder-dropped", "negative",
+         "bit", "far-bit", "negative-bit"])
     def test_fault_outside_what_was_sent_raises(self, faults, message):
         # it would otherwise be ignored, or flip some other bit
         with pytest.raises(FaultOutOfRange) as info:
             self.channel(faults).drain()
         assert str(info.value) == message
+
+    def test_reorder_with_a_dropped_successor_raises_before_a_later_frame(self):
+        # the swap must not reach past the dropped frame to the next one
+        channel = self.channel(ChannelFaults(reorder={0}, drop={1}))
+        channel.send(b"c")
+        with pytest.raises(FaultOutOfRange) as info:
+            channel.drain()
+        assert str(info.value) == "reorder frame 0 swaps with frame 1, which is dropped"
 
     def test_last_frame_and_last_bit_are_faulted(self):
         faults = ChannelFaults(drop={0}, flip={1: 23}, replay={1})
@@ -517,6 +527,17 @@ def test_failed_open_session_leaves_the_session_as_it_was(specs, capacity, error
     assert verdict.raw_log == encode_raw(TRACE[:15], CONFIG)
 
 
+@pytest.mark.parametrize("challenge", [b"", b"abc"], ids=["empty", "short"])
+def test_wrong_length_challenge_leaves_the_session_as_it_was(challenge):
+    # an empty challenge is refused like any other wrong length, not replaced
+    verifier = Verifier(KEY, CONFIG)
+    verifier.open_session((SPEC,))
+    before = verifier.challenge
+    with pytest.raises(ValueError, match="challenge must be 16 bytes"):
+        verifier.open_session((), challenge=challenge)
+    assert verifier.challenge == before and verifier.session_specs == (SPEC,)
+
+
 # --- judging payload words in place equals full expansion -------------------
 
 GRAPH = sensor_cfg()
@@ -658,6 +679,109 @@ def test_edge_past_the_address_range_does_not_alias_a_read_pair():
     verdict = protocol.run_session(KEY, EngineConfig(), (), [Transfer(0x0401, 0x0500)], graph)
     assert verdict.outcome is Outcome.AUTHENTIC_BUT_INVALID_PATH
     assert verdict.invalid_index == 0
+
+
+def words_payload(words, config):
+    return b"".join(v.to_bytes(config.word_bytes, "little") for v in words)
+
+
+# blocks whose addresses are a symbol id (0x0001) and a repeat count
+# (0x8002, count 2): edges that touch them are never read from a payload
+ODD_BLOCKS = build_cfg(
+    "function main a\n"
+    "block s 0x0001 0x0001 main\n"
+    "block c 0x8002 0x8002 main\n"
+    f"block a {A:#x} {A:#x} main\n"
+    f"block b {B:#x} {B:#x} main\n"
+    f"block d {D:#x} {D:#x} main\n"
+    "edge a b jump\nedge b d jump\nedge d a jump\n"
+    "edge s a jump\nedge c a jump\nedge d s jump\nedge d c jump\n"
+)
+
+
+@pytest.mark.parametrize("config, words", [
+    (CONFIG, [1, A]),  # the edge s -> a
+    (CONFIG, [D, 1]),  # d -> s
+    (CONFIG, [D, 0x8002]),  # d -> c
+    (DEST_CONFIG, [1]),
+    (DEST_CONFIG, [0x8002]),
+], ids=["pair-symbol-source", "pair-symbol-dest", "pair-count-dest", "dest-symbol",
+        "dest-count"])
+def test_edge_of_a_non_address_block_vouches_for_no_word(config, words):
+    # with no spec installed, a symbol word or a bare count is malformed
+    payloads = [words_payload(words, config)]
+    verdict = judged(payloads, (), config, ODD_BLOCKS)
+    assert (verdict.outcome, verdict.reason) == (
+        Outcome.AUTHENTIC_BUT_INVALID_PATH, "malformed_payload")
+    got = (verdict.outcome, verdict.reason, verdict.invalid_index, verdict.raw_log)
+    assert got == expanded_verdict(payloads, (), config, ODD_BLOCKS)
+
+
+@pytest.mark.parametrize("config, spec", [(CONFIG, SPEC), (DEST_CONFIG, DEST_SPEC)],
+                         ids=["pair", "dest"])
+def test_counter_range_edge_does_not_turn_a_count_into_a_transfer(config, spec):
+    # symbol 1 (2 transfers), count 2 (0x8002: also an edge's end in both
+    # modes), then a rogue transfer, raw index 4; read as a transfer, the
+    # count would put the rogue at 3
+    rogue = [A, 0x0508] if config.mode is Mode.PAIR else [0x0508]
+    payloads = [words_payload([1, config.counter_tag | 2] + rogue, config)]
+    verdict = judged(payloads, (spec,), config, ODD_BLOCKS)
+    assert (verdict.outcome, verdict.invalid_index) == (Outcome.AUTHENTIC_BUT_INVALID_PATH, 4)
+    got = (verdict.outcome, verdict.reason, verdict.invalid_index, verdict.raw_log)
+    assert got == expanded_verdict(payloads, (spec,), config, ODD_BLOCKS)
+
+
+# the sensor CFG's only edge out of 0x0406 enters 0x0410; 0x0420 is the
+# destination of another edge
+SOURCE, SUCCESSOR, OTHER_DEST = 0x0406, 0x0410, 0x0420
+
+
+@pytest.mark.parametrize("tail, reason, index", [
+    ([SOURCE, 1], "malformed_payload", None),  # a symbol word as the partner
+    ([SOURCE], "malformed_payload", None),  # truncated pair
+    ([SOURCE, OTHER_DEST], None, 2),
+], ids=["symbol-partner", "truncated", "not-a-successor"])
+def test_partner_that_fails_after_an_edge_source(tail, reason, index):
+    # two edges of the sensor CFG, then the source 0x0406 again
+    payloads = [words_payload([SOURCE, SUCCESSOR, 0x041A, OTHER_DEST] + tail, CONFIG)]
+    verdict = judged(payloads, (SPEC,), CONFIG, GRAPH)
+    assert (verdict.outcome, verdict.reason, verdict.invalid_index) == (
+        Outcome.AUTHENTIC_BUT_INVALID_PATH, reason, index)
+    got = (verdict.outcome, verdict.reason, verdict.invalid_index, verdict.raw_log)
+    assert got == expanded_verdict(payloads, (SPEC,), CONFIG, GRAPH)
+
+
+BRANCHY = branchy_cfg()
+BRANCHY_DESTS = sorted(BRANCHY.valid_dests())
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_judging_branching_sources_in_place_equals_full_expansion(data):
+    """As the sensor differential test, on branchy's diamonds, where a source
+    has two successors: transfers sent to another edge's destination, and
+    specs over them, are judged as full expansion judges them."""
+    config = replace(data.draw(st.sampled_from(CONFIG_GRID)),
+                     slice_size_bytes=data.draw(st.sampled_from([8, 24, 256])))
+    trace = generate_trace(BRANCHY, branchy_profile(seed=data.draw(st.integers(0, 999)),
+                                                    steps=data.draw(st.integers(1, 120))))
+    for _ in range(data.draw(st.integers(0, 2))):
+        at = data.draw(st.integers(0, len(trace) - 1))
+        trace[at] = Transfer(trace[at].src, data.draw(st.sampled_from(BRANCHY_DESTS)))
+    pair = config.mode is Mode.PAIR
+    specs: list[SubPathSpec] = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        n = data.draw(st.integers(1, min(6, len(trace))))
+        at = data.draw(st.integers(0, len(trace) - n))
+        window = trace[at : at + n]
+        entries = tuple(window) if pair else tuple(t.dest for t in window)
+        if all(s.entries != entries for s in specs):
+            specs.append(SubPathSpec(len(specs) + 1, entries))
+    payloads = payloads_of(trace, specs, config)
+    cfg = data.draw(st.sampled_from([BRANCHY, None]))
+    verdict = judged(payloads, specs, config, cfg)
+    got = (verdict.outcome, verdict.reason, verdict.invalid_index, verdict.raw_log)
+    assert got == expanded_verdict(payloads, specs, config, cfg)
 
 
 def _line_cfg(*edges):
