@@ -20,7 +20,14 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 from .engine import compress_trace
-from .errors import DuplicateId, LenOverflow, MalformedBlockMem, MalformedLog, ParseError
+from .errors import (
+    DuplicateId,
+    LenOverflow,
+    MalformedBlockMem,
+    MalformedLog,
+    ParseError,
+    TooManySpecs,
+)
 from .files import address_record, header_value, records
 from .model import (
     MAX_SYMBOL_ID,
@@ -95,6 +102,8 @@ def serialize_blockmem(
 def deserialize_blockmem(
     image: BlockMemImage | bytes, config: EngineConfig
 ) -> tuple[SubPathSpec, ...]:
+    """The specs of a block-memory image under ``config``; more than
+    ``config.max_sub_paths`` of them raise ``TooManySpecs``."""
     data = image.data if isinstance(image, BlockMemImage) else image
     words = _unpack(data, config, MalformedBlockMem)
     per_entry = 2 if config.mode is Mode.PAIR else 1
@@ -124,6 +133,8 @@ def deserialize_blockmem(
         if per_entry == 2:
             vals = tuple(map(Transfer, vals[::2], vals[1::2]))
         specs.append(SubPathSpec(spec_id, vals))
+    if len(specs) > config.max_sub_paths:
+        raise TooManySpecs(f"{len(specs)} specs, engine supports {config.max_sub_paths}")
     return tuple(specs)
 
 

@@ -292,11 +292,23 @@ class Engine:
 
     def _miss(self, state: int, item) -> tuple[int, int]:
         """Add the entry of a transfer the table does not know in ``state``,
-        checking it first unless it is an outside transfer checked before;
-        an outside transfer's entry sends it to idle."""
+        checking its mode and range first unless it is an outside transfer
+        checked before; an outside transfer's entry sends it to idle."""
         outside = self._outside
         if item not in outside:
-            check_key(item, self._pair, self._lo, self._hi)
+            lo, hi = self._lo, self._hi
+            if self._pair:
+                try:
+                    src, dest = item
+                except (TypeError, ValueError):
+                    raise ModeMismatch(
+                        f"pair-mode engine fed {item!r}, not a (src, dest) pair") from None
+                if src is None:
+                    raise ModeMismatch("pair-mode engine fed a transfer without source")
+                if not (lo <= src < hi and lo <= dest < hi):
+                    raise AddressOutOfRange(f"transfer ({src:#x}, {dest:#x}) out of range")
+            elif not lo <= item < hi:
+                raise AddressOutOfRange(f"destination {item:#x} out of range")
             if item not in self._alphabet:
                 outside.add(item)
         if item in outside:
@@ -350,23 +362,6 @@ class Engine:
         return log
 
 
-def check_key(item, pair: bool, lo: int, hi: int) -> None:
-    """The engine's range and mode check of one transfer key: a ``(src,
-    dest)`` pair in pair mode, a destination in dest mode, every address
-    in ``[lo, hi)``."""
-    if pair:
-        try:
-            src, dest = item
-        except (TypeError, ValueError):
-            raise ModeMismatch(f"pair-mode engine fed {item!r}, not a (src, dest) pair") from None
-        if src is None:
-            raise ModeMismatch("pair-mode engine fed a transfer without source")
-        if not (lo <= src < hi and lo <= dest < hi):
-            raise AddressOutOfRange(f"transfer ({src:#x}, {dest:#x}) out of range")
-    elif not lo <= item < hi:
-        raise AddressOutOfRange(f"destination {item:#x} out of range")
-
-
 def compress_trace(
     trace: Iterable[Transfer], specs: Sequence[SubPathSpec], config: EngineConfig
 ) -> Log:
@@ -392,10 +387,10 @@ def slice_compress(
 
 
 def expand(log: Log, specs: Sequence[SubPathSpec], config: EngineConfig) -> Log:
-    """Losslessly reverse compression on ``log.image(config)``: an address
-    word is copied, a symbol becomes its spec's entry words (the spec is
-    checked when first used) and a count of k after it repeats them k - 1
-    more times.  Returns a word log."""
+    """Losslessly reverse compression on ``log.image(config)``, so a log of
+    another layout raises: an address word is copied, a symbol becomes its
+    spec's entry words (the spec is checked when first used) and a count of
+    k after it repeats them k - 1 more times.  Returns a word log."""
     by_id = {s.id: s for s in specs}
     bodies: dict[int, list[int]] = {}  # symbol id -> its spec's entry words
     pair = config.mode is Mode.PAIR

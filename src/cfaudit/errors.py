@@ -76,7 +76,8 @@ class AuthError(AuditError):
 
 
 class ConfigMismatch(AuditError):
-    """Request config echo disagrees with the local engine configuration."""
+    """Two configurations disagree: a request's config echo and the local
+    engine's, or a log's address width and the one it is read under."""
 
 
 class MalformedFrame(AuditError):

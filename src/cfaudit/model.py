@@ -21,6 +21,7 @@ from typing import Iterable, NamedTuple, Sequence, Union
 from .errors import (
     AddressOutOfRange,
     CapacityExceeded,
+    ConfigMismatch,
     DuplicateId,
     EncodingOverlap,
     LenOverflow,
@@ -133,12 +134,13 @@ def check_address(value: int, config: EngineConfig) -> int:
 class Log:
     """A log: its memory-image ``words`` under ``config``, which must be well
     formed, sized at ``len(words) * config.word_bytes``; its ``elements``
-    are decoded from the words on first read.  A log is immutable.
-    Equality, hash and pickle key on its layout, ``(words, config.mode,
-    config.addr_width)``: two configs that differ only in slice size or
-    retry read the same words as the same elements.  A raw log caches its
-    selection keys in ``_keys`` on first use (``selection._raw_keys``); a
-    copy or a pickle does not carry them."""
+    are decoded from the words on first read.  A log is immutable.  Its
+    layout is its config's mode and address width: it is read only under a
+    config of that layout (``image``), and equality, hash and pickle key on
+    ``(words, config.mode, config.addr_width)``.  Slice size and retry are
+    no part of the layout.  A raw log caches its selection keys in
+    ``_keys`` on first use (``selection._raw_keys``); a copy or a pickle
+    does not carry them."""
 
     __slots__ = ("_elements", "size_bytes", "words", "config", "_keys")
 
@@ -161,12 +163,16 @@ class Log:
         return self.words, self.config.mode, self.config.addr_width
 
     def image(self, config: EngineConfig) -> Sequence[int]:
-        """The log's memory-image words under ``config``: its own under a
-        config of its layout, else its elements run through ``encode_elements``."""
+        """The log's memory-image words, read under ``config``, which must
+        have the log's layout: another mode raises ``ModeMismatch``, another
+        address width ``ConfigMismatch``."""
         own = self.config
-        if config.mode is own.mode and config.addr_width == own.addr_width:
-            return self.words
-        return encode_elements(self.elements, config)
+        if config.mode is not own.mode:
+            raise ModeMismatch(f"{own.mode.value} elements in {config.mode.value}-mode input")
+        if config.addr_width != own.addr_width:
+            raise ConfigMismatch(
+                f"{own.addr_width}-bit log read under a {config.addr_width}-bit config")
+        return self.words
 
     def __setattr__(self, name: str, value) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")

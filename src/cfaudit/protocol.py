@@ -556,44 +556,53 @@ class Channel:
         self._sent.append(bytes(frame))
 
     def drain(self) -> list[bytes]:
-        """The frames sent so far, as the faults deliver them.  A fault on a
-        frame or a bit that was not sent, or a reorder of the last frame or
-        of a frame whose successor is dropped, raises ``FaultOutOfRange``."""
+        """The frames sent so far, as the faults deliver them: the reorders
+        swap frames in their send order, then each frame that is not
+        dropped is delivered, flipped, and twice if replayed.  A fault that
+        would inject nothing raises ``FaultOutOfRange``: one on a frame or
+        a bit that was not sent, a flip, replay or reorder of a dropped
+        frame, and a reorder of the last frame, of a frame whose successor
+        is dropped or of one whose successor is reordered too (the second
+        swap would undo the first)."""
         faults, n = self.faults, len(self._sent)
         for what, frames in (("drop", faults.drop), ("flip", faults.flip),
                              ("replay", faults.replay), ("reorder", faults.reorder)):
             for i in sorted(frames):
                 if not 0 <= i < n:
                     raise FaultOutOfRange(f"{what} frame {i} is not one of the {n} frames sent")
+                if what != "drop" and i in faults.drop:
+                    raise FaultOutOfRange(f"{what} frame {i} is dropped")
         if n - 1 in faults.reorder:
             raise FaultOutOfRange(f"reorder frame {n - 1} is the last of the {n} frames sent")
         for i in sorted(faults.reorder):
             if i + 1 in faults.drop:
                 raise FaultOutOfRange(
                     f"reorder frame {i} swaps with frame {i + 1}, which is dropped")
+            if i + 1 in faults.reorder:
+                raise FaultOutOfRange(
+                    f"reorder frame {i + 1} would undo the reorder of frame {i}")
         for i, bit in faults.flip.items():
             if not 0 <= bit < 8 * len(self._sent[i]):
                 raise FaultOutOfRange(
                     f"flip bit {bit} is not one of frame {i}'s {8 * len(self._sent[i])} bits")
-        delivered: list[tuple[int, bytes]] = []
-        for i, frame in enumerate(self._sent):
+        order = list(range(n))
+        for i in faults.reorder:
+            order[i], order[i + 1] = i + 1, i
+        delivered: list[bytes] = []
+        for i in order:
             if i in faults.drop:
                 continue
+            frame = self._sent[i]
             if i in faults.flip:
                 bit = faults.flip[i]
                 buf = bytearray(frame)
                 buf[bit // 8] ^= 1 << (bit % 8)
                 frame = bytes(buf)
-            delivered.append((i, frame))
+            delivered.append(frame)
             if i in faults.replay:
-                delivered.append((i, frame))
-        for i in sorted(faults.reorder):
-            positions = [p for p, (orig, _) in enumerate(delivered) if orig == i]
-            for p in positions:
-                if p + 1 < len(delivered):
-                    delivered[p], delivered[p + 1] = delivered[p + 1], delivered[p]
+                delivered.append(frame)
         self._sent = []
-        return [frame for _, frame in delivered]
+        return delivered
 
 
 def run_session(

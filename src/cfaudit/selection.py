@@ -22,8 +22,7 @@ from typing import Iterable, Sequence
 
 from .cfg import CFG, enumerate_segment_paths, find_loops, segment_cfg
 from .codec import blockmem_block_bytes
-from .engine import check_key
-from .errors import AuditError, ModeMismatch
+from .errors import ModeMismatch
 from .model import (
     MAX_REPEAT_COUNT,
     MAX_SPEC_LEN,
@@ -53,57 +52,27 @@ class Candidate:
 
 def _raw_keys(log: Log, mode: Mode) -> tuple:
     """The transfer keys of a raw log of ``mode``: ``(src, dest)`` pairs in
-    pair mode, destinations in dest mode.  A select keys each prior for
-    mining and again for each chosen spec's estimate, so the keys are
-    cached on the log, in its ``_keys`` slot, as ``(mode, keys, bounds)``:
-    ``bounds`` are the address bounds ``(lo, hi)`` the keys are known to
-    pass the engine's key check within, at first the log's own config's,
-    since its words are well formed.  Asking in another mode keys the log
-    again; an error is raised afresh each time."""
-    cached = log._keys
-    if cached is None or cached[0] is not mode:
-        config = log.config
-        cached = (mode, _build_raw_keys(log, mode), (config.min_code_addr, config.counter_tag))
-        _set_keys(log, cached)
-    return cached[1]
-
-
-def _check_keys(log: Log, config: EngineConfig) -> None:
-    """Raise the engine's error for the first of ``log``'s keys (cached by
-    ``_raw_keys`` in ``config``'s mode) that fails its range and mode check
-    under ``config``.  Each distinct key is checked, and only when the
-    cached bounds do not already lie within ``config``'s; a pass is cached
-    as the new bounds, so a log is checked once, not once per spec."""
-    mode, keys, bounds = log._keys
-    lo, hi = config.min_code_addr, config.counter_tag
-    if lo <= bounds[0] and bounds[1] <= hi:
-        return
-    pair = config.mode is Mode.PAIR
-    try:
-        for key in set(keys):
-            check_key(key, pair, lo, hi)
-    except AuditError:
-        for key in keys:  # raises at the first failing key, as the engine does
-            check_key(key, pair, lo, hi)
-        raise
-    _set_keys(log, (mode, keys, (lo, hi)))
-
-
-def _build_raw_keys(log: Log, mode: Mode) -> tuple:
-    """``_raw_keys`` without the cache, read from the log's words.  A log
-    of the other mode raises ``ModeMismatch`` if its first word is an
-    address, a compressed log ``ValueError``; an empty log has no keys."""
-    words, config = log.words, log.config
-    lo = config.min_code_addr
-    if config.mode is not mode and words and words[0] >= lo:
+    pair mode, destinations in dest mode, read from its words.  A log of
+    another mode raises ``ModeMismatch``, a compressed log ``ValueError``,
+    afresh each time.  A select keys each prior for mining and again for
+    each chosen spec's estimate, so the keys are cached on the log, in its
+    ``_keys`` slot."""
+    config = log.config
+    if config.mode is not mode:
         raise ModeMismatch(f"{config.mode.value} elements in {mode.value}-mode input")
-    # a compressed image holds a symbol word, and symbols lie below every address
-    if words and min(words) < lo:
-        raise ValueError("input must be raw (expanded) logs")
-    if mode is Mode.DEST:
-        return words
-    it = iter(words)
-    return tuple(zip(it, it))
+    keys = log._keys
+    if keys is None:
+        words = log.words
+        # a compressed image holds a symbol word, and symbols lie below every address
+        if words and min(words) < config.min_code_addr:
+            raise ValueError("input must be raw (expanded) logs")
+        if mode is Mode.DEST:
+            keys = words
+        else:
+            it = iter(words)
+            keys = tuple(zip(it, it))
+        _set_keys(log, keys)
+    return keys
 
 
 def enumerate_candidates(
@@ -420,9 +389,9 @@ def estimate_savings(
     cuts off is no win.  Wins back to back form a run, which the engine
     coalesces into ``[symbol, count]`` per ``MAX_REPEAT_COUNT`` wins and one
     or two words for the rest; no run spans two logs.  The spec set passes
-    the engine's checks first, even with no logs, then each log's keys
-    pass the range and mode check once per log keyed (``_check_keys``),
-    with the engine's errors."""
+    the engine's checks first, even with no logs; then each log must have
+    ``config``'s layout (``Log.image``), and its words, which passed the
+    engine's checks when it was built, need no check again."""
     validate_spec_set((spec,), config)
     pair = config.mode is Mode.PAIR
     retry = config.retry_on_mismatch
@@ -432,8 +401,8 @@ def estimate_savings(
     first, length = pattern[0], len(pattern)
     saved = 0
     for log in logs:
+        log.image(config)  # the log's layout must be config's
         keys = _raw_keys(log, config.mode)
-        _check_keys(log, config)
         n = len(keys)
         find = keys.index
         pos = wins = run = words = 0

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from cfaudit.codec import blockmem_block_bytes, encode_raw, serialize_log
 from cfaudit.engine import Engine, compress_trace, expand, slice_compress
 from cfaudit.errors import (
     AddressOutOfRange,
+    ConfigMismatch,
     EncodingOverlap,
     MalformedLog,
     ModeMismatch,
@@ -520,13 +522,62 @@ def test_word_logs_equal_oracle_logs(inst, data):
         assert_same_log(eng.finalize(), want, config)
 
 
-def test_word_log_under_another_config_serializes_its_elements():
+def test_word_log_under_another_config_raises():
     trace = ABD_TRACE * 2 + pairs((G, X))
     log = compress_trace(trace, [ABD_SPEC], PAIR16)
-    wide = EngineConfig(addr_width=32)
-    assert serialize_log(log, wide) == serialize_log(compress_trace(trace, [ABD_SPEC], wide), wide)
-    with pytest.raises(ModeMismatch):
+    with pytest.raises(ConfigMismatch, match="16-bit log read under a 32-bit config"):
+        serialize_log(log, EngineConfig(addr_width=32))
+    with pytest.raises(ModeMismatch, match="pair elements in dest-mode input"):
         serialize_log(log, EngineConfig(mode=Mode.DEST))
+
+
+def _layout(config):
+    return config.mode, config.addr_width
+
+
+@pytest.mark.parametrize("built, read", itertools.product(CONFIG_GRID, repeat=2),
+                         ids=lambda c: f"{c.mode.value}{c.addr_width}")
+def test_a_log_is_read_only_under_its_layout(built, read):
+    # a log's layout is its mode and address width; slice size and retry
+    # are no part of it
+    def own(config):  # ABD_SPEC and the trace in config's mode
+        if config.mode is Mode.PAIR:
+            return ABD_SPEC, trace
+        return (SubPathSpec(1, [t.dest for t in ABD_SPEC.entries]),
+                [Transfer(None, t.dest) for t in trace])
+
+    trace = ABD_TRACE * 3 + pairs((G, X), (X, A)) + ABD_TRACE
+    spec, keys = own(built)
+    prior = encode_raw(keys, built)
+    log = compress_trace(keys, [spec], built)
+
+    def readings(config):
+        other = own(config)[0]
+        return (serialize_log(log, config), expand(log, [other], config).words,
+                enumerate_candidates([prior], (2, 4), mode=config.mode),
+                estimate_savings(other, [prior], config))
+
+    if _layout(read) == _layout(built):
+        want = readings(built)
+        assert want[1] == prior.words
+        flipped = not built.retry_on_mismatch
+        for same in (dataclasses.replace(read, slice_size_bytes=8),
+                     dataclasses.replace(read, retry_on_mismatch=flipped)):
+            got = readings(same)
+            assert got[:3] == want[:3]
+            # the estimate follows the retry of the config read under
+            assert got[3] == estimate_savings(spec, [encode_raw(keys, same)], same)
+        return
+    error = ModeMismatch if read.mode is not built.mode else ConfigMismatch
+    other = own(read)[0]
+    for reader in (lambda: serialize_log(log, read), lambda: expand(log, [other], read),
+                   lambda: estimate_savings(other, [prior], read)):
+        with pytest.raises(error):
+            reader()
+    # mining reads a log under a mode alone, so only another mode raises
+    if read.mode is not built.mode:
+        with pytest.raises(ModeMismatch):
+            enumerate_candidates([prior], (2, 4), mode=read.mode)
 
 
 @pytest.fixture

@@ -322,6 +322,32 @@ class TestChannelFaultRange:
             channel.drain()
         assert str(info.value) == "reorder frame 0 swaps with frame 1, which is dropped"
 
+    @pytest.mark.parametrize("faults, message", [
+        (ChannelFaults(reorder={0, 1}), "reorder frame 1 would undo the reorder of frame 0"),
+        (ChannelFaults(drop={0}, replay={0}), "replay frame 0 is dropped"),
+        (ChannelFaults(drop={0}, flip={0: 3}), "flip frame 0 is dropped"),
+        (ChannelFaults(drop={1}, reorder={1}), "reorder frame 1 is dropped"),
+    ], ids=["adjacent-reorders", "replay-dropped", "flip-dropped", "reorder-dropped-frame"])
+    def test_fault_that_injects_nothing_raises(self, faults, message):
+        # three frames sent; each schedule would deliver what a plainer one does
+        channel = self.channel(faults)
+        channel.send(b"c")
+        with pytest.raises(FaultOutOfRange) as info:
+            channel.drain()
+        assert str(info.value) == message
+
+    def test_reorders_permute_the_send_order(self):
+        # disjoint swaps of the frames as sent; a replay follows its frame
+        def drain(faults):
+            channel = Channel(faults)
+            for frame in (b"a", b"b", b"c", b"d"):
+                channel.send(frame)
+            return channel.drain()
+
+        assert drain(ChannelFaults(reorder={0, 2})) == [b"b", b"a", b"d", b"c"]
+        assert drain(ChannelFaults(reorder={0}, replay={0})) == [b"b", b"a", b"a", b"c", b"d"]
+        assert drain(ChannelFaults(reorder={1}, drop={0})) == [b"c", b"b", b"d"]
+
     def test_last_frame_and_last_bit_are_faulted(self):
         faults = ChannelFaults(drop={0}, flip={1: 23}, replay={1})
         assert self.channel(faults).drain() == [b"xy\xfa", b"xy\xfa"]
@@ -520,6 +546,24 @@ def test_failed_open_session_leaves_the_session_as_it_was(specs, capacity, error
         assert verifier.verify_slice(f) == ACCEPT
     assert verifier.assemble().raw_log == encode_raw(TRACE[:15], CONFIG)
     prover.handle_request(verifier.open_session(()).encode())
+    for s in prover.run(TRACE[:15]):
+        assert verifier.verify_slice(s.encode()) == ACCEPT
+    verdict = verifier.assemble()
+    assert verdict.outcome is Outcome.AUTHENTIC_AND_VALID
+    assert verdict.raw_log == encode_raw(TRACE[:15], CONFIG)
+
+
+def test_prover_refuses_more_specs_than_its_engine_holds():
+    # a request does not echo max_sub_paths: the prover counts the specs
+    # before it installs any, so its specs and challenge stay as they were
+    verifier = Verifier(KEY, CONFIG)
+    prover = Prover(KEY, replace(CONFIG, max_sub_paths=2))
+    prover.handle_request(verifier.open_session((SPEC,)).encode())
+    challenge = prover.challenge
+    many = tuple(SubPathSpec(i, (Transfer(A + i, B),)) for i in range(1, 5))
+    with pytest.raises(TooManySpecs, match="4 specs, engine supports 2"):
+        prover.handle_request(Verifier(KEY, CONFIG).open_session(many).encode())
+    assert prover.specs == (SPEC,) and prover.challenge == challenge
     for s in prover.run(TRACE[:15]):
         assert verifier.verify_slice(s.encode()) == ACCEPT
     verdict = verifier.assemble()

@@ -16,6 +16,7 @@ from cfaudit.cfg import build_cfg, find_loops, segment_cfg
 from cfaudit.codec import blockmem_block_bytes, encode_raw, write_spec_document
 from cfaudit.errors import (
     AddressOutOfRange,
+    ConfigMismatch,
     EncodingOverlap,
     MalformedCFG,
     ModeMismatch,
@@ -68,7 +69,6 @@ from test_cfg import dead_diamonds_document, long_path_document, looped_diamonds
 
 PAIR16 = EngineConfig()
 DEST16 = EngineConfig(mode=Mode.DEST)
-PAIR32 = EngineConfig(addr_width=32)
 
 
 def dest_log(symbols, base=0x0400):
@@ -227,8 +227,8 @@ class TestMiningParity:
 
     @pytest.mark.parametrize("config", [PAIR16, DEST16])
     def test_word_logs_raise_as_element_logs(self, config):
-        # a log is keyed on its words, and a log of the other mode or a
-        # compressed one raises as its first element says
+        # a log is keyed on its words: a log of the other mode raises
+        # ModeMismatch whatever its words, and a compressed one ValueError
         trace = [Transfer(0x0400, 0x0500), Transfer(0x0500, 0x0400)] * 3
         keys = trace if config.mode is Mode.PAIR else [t.dest for t in trace]
         spec = SubPathSpec(1, keys[1:3])
@@ -238,11 +238,12 @@ class TestMiningParity:
         assert type(raw_first.elements[1]) is type(symbol_first.elements[0]) is Symbol
         cases = [  # log, the config asked for, the outcome
             (encode_raw(trace, config), config, "ok"),
-            (encode_raw([], config), other, "ok"),
+            (encode_raw([], config), other, ModeMismatch),
             (encode_raw(trace, config), other, ModeMismatch),
             (raw_first, config, ValueError),
             (raw_first, other, ModeMismatch),
-            (symbol_first, other, ValueError),
+            (symbol_first, config, ValueError),
+            (symbol_first, other, ModeMismatch),
         ]
 
         def outcome(fn, log):
@@ -259,6 +260,20 @@ class TestMiningParity:
                 assert outcome(fn, log)[0] == want
 
 
+def keys_cached(monkeypatch):
+    """The logs ``selection`` caches keys on, in order, one entry per
+    keying."""
+    logs = []
+    set_keys = selection._set_keys
+
+    def counting(log, keys):
+        logs.append(log)
+        set_keys(log, keys)
+
+    monkeypatch.setattr(selection, "_set_keys", counting)
+    return logs
+
+
 def held_by_selection(obj):
     """The objects that hold ``obj`` and are ``selection``'s globals or
     sit in them, directly or in a container."""
@@ -273,15 +288,7 @@ class TestKeysMemo:
 
     @pytest.fixture
     def built(self, monkeypatch):
-        logs = []
-        build = selection._build_raw_keys
-
-        def counting(log, mode):
-            logs.append(log)
-            return build(log, mode)
-
-        monkeypatch.setattr(selection, "_build_raw_keys", counting)
-        return logs
+        return keys_cached(monkeypatch)
 
     @pytest.mark.parametrize("config", [PAIR16, DEST16])
     def test_prior_keyed_once(self, built, config):
@@ -307,10 +314,11 @@ class TestKeysMemo:
                 enumerate_candidates([log], (1, 2), mode=Mode.DEST)
             with pytest.raises(ModeMismatch, match="pair elements in dest-mode"):
                 estimate_savings(SubPathSpec(1, (0x0500,)), [log], DEST16)
-        # failures are not remembered, and the pair-mode keys still are
-        assert len(built) == 5
+        # failures key nothing, and the pair-mode keys are still cached
+        assert built == [log]
+        keys = log._keys
         estimate_savings(SubPathSpec(1, (Transfer(0x0400, 0x0500),)), [log], PAIR16)
-        assert len(built) == 5
+        assert built == [log] and log._keys is keys
 
     def test_memo_dies_with_log(self):
         # the keys live on the log, and nothing in selection holds either
@@ -318,8 +326,8 @@ class TestKeysMemo:
         mined = enumerate_candidates([prior], SENSOR_LEN_RANGE, mode=Mode.PAIR)
         for spec in policy_top(mined, 2):
             estimate_savings(spec, [prior], PAIR16)
-        mode, keys, bounds = prior._keys
-        assert mode is Mode.PAIR and len(keys) == len(prior.elements)
+        keys = prior._keys
+        assert keys == tuple(prior.elements)
         assert held_by_selection(prior) == []
         assert held_by_selection(keys) == []
         # a copy or a pickle carries no keys, and the keys leave equality alone
@@ -327,53 +335,12 @@ class TestKeysMemo:
             assert other._keys is None
             assert other == prior and hash(other) == hash(prior)
 
-    @pytest.fixture
-    def key_checks(self, monkeypatch):
-        keys = []
-        check = selection.check_key
-
-        def counting(key, pair, lo, hi):
-            keys.append(key)
-            return check(key, pair, lo, hi)
-
-        monkeypatch.setattr(selection, "check_key", counting)
-        return keys
-
-    def test_key_check_once_per_log(self, built, key_checks):
-        trace = [Transfer(0x0400, 0x0500), Transfer(0x0500, 0x0600), Transfer(0x0600, 0x0400)] * 4
-        specs = [SubPathSpec(1, trace[:2]), SubPathSpec(2, trace[1:3]), SubPathSpec(3, trace[:1])]
-        # a log's words passed the engine's checks under its config
-        log = encode_raw(trace, PAIR16)
-        savings = [estimate_savings(spec, [log], PAIR16) for spec in specs]
-        assert key_checks == []
-        # a log asked under narrower bounds than its own is checked once,
-        # one call per distinct key
-        wide = encode_raw(trace, EngineConfig(addr_width=32))
-        extra = wide.size_bytes - log.size_bytes  # its raw words are twice as wide
-        assert [estimate_savings(spec, [wide], PAIR16) for spec in specs] == [
-            s + extra for s in savings
-        ]
-        assert sorted(key_checks) == sorted(set(trace))
-        assert len(built) == 2
-
 
 class TestKeysMemoPerLog:
     """Each log carries its own keys, not just the last log keyed."""
 
     def test_two_prior_select_keys_each_once(self, monkeypatch):
-        built, checked = [], []
-        build, check = selection._build_raw_keys, selection.check_key
-
-        def counting(log, mode):
-            built.append(log)
-            return build(log, mode)
-
-        def counting_check(key, pair, lo, hi):
-            checked.append(key)
-            return check(key, pair, lo, hi)
-
-        monkeypatch.setattr(selection, "_build_raw_keys", counting)
-        monkeypatch.setattr(selection, "check_key", counting_check)
+        built = keys_cached(monkeypatch)
         priors = [
             encode_raw(generate_trace(cfg(), profile()), PAIR16)
             for cfg, profile in ((sensor_cfg, sensor_profile), (branchy_cfg, branchy_profile))
@@ -384,25 +351,9 @@ class TestKeysMemoPerLog:
         savings = [estimate_savings(s, priors, PAIR16) for s in specs]
         assert [id(log) for log in built] == [id(log) for log in priors]
         assert savings == [oracle_savings(s, priors, PAIR16) for s in specs]
-        assert [log._keys[0] for log in priors] == [Mode.PAIR, Mode.PAIR]
-        assert checked == []  # the logs' words passed the engine's check
-        # 32-bit copies are keyed afresh, each checked once across specs
-        copies = [make_log(log.elements, PAIR32) for log in priors]
-        extra = sum(c.size_bytes - p.size_bytes for c, p in zip(copies, priors))
-        assert [estimate_savings(s, copies, PAIR16) for s in specs] == [s + extra for s in savings]
-        assert [id(log) for log in built[2:]] == [id(log) for log in copies]
-        assert len(checked) == sum(len(set(log.elements)) for log in copies)
-        for log in priors + copies:
+        assert [log._keys for log in priors] == [tuple(log.elements) for log in priors]
+        for log in priors:
             assert held_by_selection(log) == []
-
-    def test_other_mode_rekeys_in_place(self):
-        # an empty log keys in either mode; its cached keys follow the last
-        log = encode_raw([], PAIR16)
-        for config in (PAIR16, DEST16, PAIR16):
-            spec = SubPathSpec(1, (Transfer(0x0400, 0x0500),) if config is PAIR16 else (0x0500,))
-            assert estimate_savings(spec, [log], config) == -blockmem_block_bytes(1, config)
-            assert log._keys[0] is config.mode
-        assert held_by_selection(log) == []
 
 
 def cand(letters, count):
@@ -882,28 +833,23 @@ class TestSavingsEngineParity:
         for elements in unbuildable:
             with pytest.raises((AddressOutOfRange, EncodingOverlap, ModeMismatch)):
                 make_log(elements, config)
-        cases = [  # elements, the config their log is built under, spec entries
-            ([good], config, [bad(hi)]),  # a spec validate_spec_set rejects
-            # a spec of the other mode
-            ([good], config, [lo] if pair else [Transfer(lo, lo)]),
+        cases = [  # elements, spec entries
+            ([good], [bad(hi)]),  # a spec validate_spec_set rejects
+            ([good], [lo] if pair else [Transfer(lo, lo)]),  # a spec of the other mode
         ]
-        if config.addr_width == 16:  # 32-bit logs with keys outside 16-bit range
-            wide = dataclasses.replace(config, addr_width=32)
-            cases += [
-                ([good, bad(hi)], wide, [good]),
-                ([good, bad(top)], wide, [good]),
-                ([good, bad(top), bad(hi)], wide, [good]),  # the first one raises
-                ([good, bad(hi), bad(top)], wide, [good]),
-            ]
-            if pair:
-                cases.append(([good, RawPair(top, lo)], wide, [good]))
-        for elements, built_under, entries in cases:
-            log = make_log(elements, built_under)
+        for elements, entries in cases:
+            log = make_log(elements, config)
             spec = SubPathSpec(1, [e if pair or type(e) is Transfer else e.dest for e in entries])
             trace = [Transfer(*e) if pair else Transfer(None, e.dest) for e in elements]
             want = engine_error(lambda: compress_trace(trace, [spec], config))
             assert want is not None and want[0] in (AddressOutOfRange, ModeMismatch)
             assert engine_error(lambda: estimate_savings(spec, [log], config)) == want
+        if config.addr_width == 16:  # a 32-bit log is not read, whatever its keys
+            wide = dataclasses.replace(config, addr_width=32)
+            spec = SubPathSpec(1, [good if pair else good.dest])
+            for elements in ([good], [good, bad(hi)], [good, bad(top)]):
+                with pytest.raises(ConfigMismatch):
+                    estimate_savings(spec, [make_log(elements, wide)], config)
 
 
 def oracle_savings(spec, logs, config):
