@@ -65,6 +65,7 @@ from .model import (
     RawPair,
     SubPathSpec,
     Transfer,
+    validate_spec_set,
 )
 from .codec import deserialize_log  # noqa: F401  perfbench/run.py traces these names
 from .model import make_log  # noqa: F401
@@ -210,9 +211,11 @@ class Prover:
     compressed evidence slices for a trace."""
 
     def __init__(self, key: bytes, config: EngineConfig, specs: Sequence[SubPathSpec] = ()):
+        specs = tuple(specs)
+        validate_spec_set(specs, config)  # as an installed request's are
         self._key = key
         self.config = config
-        self.specs: tuple[SubPathSpec, ...] = tuple(specs)
+        self.specs: tuple[SubPathSpec, ...] = specs
         self.challenge: bytes | None = None
         self._mac_state = None  # _slice_mac_state of the installed challenge
         self._next_seq = 0

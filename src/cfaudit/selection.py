@@ -13,12 +13,11 @@ selected path; for static selection it means no shared transfer pair.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from dataclasses import dataclass
-from functools import reduce
+import sys
+from collections import Counter
 from heapq import heapify, heappop
-from itertools import chain, count
-from typing import Iterable, Sequence
+from itertools import accumulate, chain, repeat
+from typing import Iterable, NamedTuple, Sequence
 
 from .cfg import CFG, enumerate_segment_paths, find_loops, segment_cfg
 from .codec import blockmem_block_bytes
@@ -39,8 +38,11 @@ from .oracle import oracle_compress  # noqa: F401  perfbench/run.py traces this 
 DEFAULT_LEN_RANGE = (2, 16)
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
+    """A mined window and its greedy count, or a static path (count 0) and
+    its priority class.  A ``NamedTuple``, like ``Transfer``: it compares
+    equal to the plain tuple of its fields."""
+
     entries: tuple  # Transfer tuple (pair mode) or address tuple (dest mode)
     count: int
     static_priority: int | None = None
@@ -82,108 +84,114 @@ def enumerate_candidates(
     mode: Mode = Mode.PAIR,
 ) -> list[Candidate]:
     """Every distinct contiguous window with length in ``len_range``,
-    counted greedily left-to-right without overlap, summed over logs.
+    counted greedily left-to-right without overlap, summed over logs, in
+    ``(length, entries)`` order.
 
-    Each distinct key is interned to a small int, and each start's window
-    of up to ``hi`` key ids (shorter only at a log's tail, down to ``lo``)
-    to a window id; the windows are counted once.  The windows are
-    hash-consed into a trie of node ids, one node per distinct window
-    prefix of ``lo`` keys or more, and each distinct window's path is
-    walked once.  A node carries the lengths of its proper borders
-    (prefixes that are also suffixes): a child's are its parent's borders
-    ``b`` with ``w[b] == x``, each one longer, plus 1 if ``x == w[0]``.
-    A node with no border cannot overlap itself, so its greedy count is
-    its occurrence count, the sum of its windows' counts.  Only bordered
-    nodes take the greedy ``next_free`` pass over the starts in order,
-    each start visiting the bordered nodes on its window's path.
-    Positions run on from log to log, so an occurrence in one log never
-    blocks one in the next.  Keys come from ``_raw_keys``, which caches
+    Each distinct key becomes one character, ``chr(1)`` up in key order, so
+    strings of them order as their entries; the logs are joined into one
+    text, each followed by ``hi - 1`` pad characters ``chr(0)``.  Each
+    start's window of ``hi`` characters (padded at a log's tail, where at
+    least ``lo`` keys remain) is grouped with its start positions, and the
+    distinct windows are sorted once.  A node is a distinct window prefix
+    of ``lo`` to ``hi`` keys.  Each window shares its longest common prefix
+    with the one before it, so it opens the nodes longer than that prefix,
+    and the nodes of one length open in entry order: appending each to its
+    length's list gives the output order.  A node closes at the first later
+    window that does not share it, so its windows are one run of the
+    sorted windows.  A node whose first key does not recur in it has no
+    border, cannot overlap itself, and counts the starts of its run.  Any
+    other node counts greedily over its starts in order, or, when it occurs
+    more often than once per ``_SCAN_EVERY`` characters, with one
+    ``str.count`` of the text, which counts leftmost non-overlapping
+    matches; no match crosses a pad.  Positions run on from log to log, so
+    an occurrence in one log never blocks one in the next.  More than
+    ``sys.maxunicode`` distinct keys, which one character each cannot
+    name, raise ``ValueError``.  Keys come from ``_raw_keys``, which caches
     them on each log, so ``estimate_savings`` on a prior just mined does
     not key it again."""
     lo, hi = len_range
     if lo < 1 or hi < lo:
         raise ValueError(f"bad len_range {len_range}: need 1 <= lo <= hi")
-    pair = mode is Mode.PAIR
     keyed = [_raw_keys(log, mode) for log in logs]
-    # ids follow key order, so id tuples order as their entries; a RawPair
-    # key hashes and compares as its tuple
-    key_ids = {k: i for i, k in enumerate(sorted(set(chain.from_iterable(keyed))))}
-    objs = [Transfer(*k) for k in key_ids] if pair else list(key_ids)
-    window_ids = defaultdict(count().__next__)  # up to hi key ids -> window id
-    intern = window_ids.__getitem__
-    starts = []  # per log: its window ids, one per start
+    distinct = sorted(set(chain.from_iterable(keyed)))
+    if len(distinct) > sys.maxunicode:
+        raise ValueError(f"{len(distinct)} distinct keys; mining takes at most {sys.maxunicode}")
+    chars = {k: chr(i) for i, k in enumerate(distinct, 1)}
+    objs = dict(zip(chars.values(), map(Transfer._make, distinct) if mode is Mode.PAIR else distinct))
+    objs["\0"] = None
+    pad = "\0" * (hi - 1)
+    text = pad.join(["".join(map(chars.__getitem__, keys)) for keys in keyed]) + pad
+    starts: dict[str, list[int]] = {}  # window -> its start positions, ascending
+    get = starts.get
+    base = 0
     for keys in keyed:
-        ids = [*map(key_ids.__getitem__, keys)]
-        n = len(ids)
-        full = max(0, n - hi + 1)  # starts with a whole hi-long window
-        wids = [*map(intern, zip(*(ids[k:] for k in range(hi))))] if full else []
-        wids += map(intern, (tuple(ids[i:]) for i in range(full, n - lo + 1)))
-        starts.append(wids)
-    multiplicity = Counter(chain.from_iterable(starts))
-
-    radix = len(objs) or 1
-    roots: dict[tuple, int] = {}  # lo key ids -> node
-    child: dict[int, int] = {}  # node * radix + key id -> node
-    find = child.get
-    entries: list[tuple] = []  # per node
-    values: list[int] = []  # per node: its key ids read as a base-radix number
-    borders: list[list[int]] = []  # per node: its proper border lengths
-    counts: list[int] = []
-    bordered: list[tuple] = []  # per window id: (node, length) on its path
-    for w in window_ids:
-        m = multiplicity[len(bordered)]
-        head = w[:lo]
-        node = roots.get(head)
-        if node is None:
-            node = roots[head] = len(entries)
-            entries.append(tuple(map(objs.__getitem__, head)))
-            values.append(reduce(lambda v, x: v * radix + x, head, 0))
-            borders.append([b for b in range(1, lo) if head[:b] == head[lo - b:]])
-            counts.append(0)
-        path = []
-        if borders[node]:
-            path.append((node, lo))
-        else:
-            counts[node] += m
-        for j in range(lo, len(w)):
-            x = w[j]
-            edge = node * radix + x
-            node_next = find(edge)
-            if node_next is None:
-                node_next = child[edge] = len(entries)
-                entries.append(entries[node] + (objs[x],))
-                values.append(values[node] * radix + x)
-                up = borders[node]
-                up = [b + 1 for b in up if w[b] == x] if up else []
-                if x == w[0]:
-                    up.append(1)
-                borders.append(up)
-                counts.append(0)
-            node = node_next
-            if borders[node]:
-                path.append((node, j + 1))
+        for i in range(base, base + len(keys) - lo + 1):
+            w = text[i : i + hi]
+            run = get(w)
+            if run is None:
+                starts[w] = [i]
             else:
-                counts[node] += m
-        bordered.append(tuple(path))
+                run.append(i)
+        base += len(keys) + hi - 1
+    windows = sorted(starts)
+    runs = [*map(starts.__getitem__, windows)]
+    cum = [0, *accumulate(map(len, runs))]  # starts before each window
+    seq = [*map(objs.__getitem__, text)]  # the entry at each position
+    # a window read as one int: the top differing bit gives the shared prefix
+    encoding, width = ("latin-1", 8) if len(distinct) < 256 else ("utf-32-be", 32)
+    bits = width * hi
+    scan = len(text) // _SCAN_EVERY
+    entries: list[list[tuple]] = [[] for _ in range(hi + 1)]  # per length
+    counts: list[list[int]] = [[] for _ in range(hi + 1)]
+    opened = [0] * (hi + 1)  # per length: the window its open node starts at
+    bordered = [False] * (hi + 1)  # per length: whether its open node may overlap itself
+    prev = depth = 0  # the previous window as an int, and its length in keys
+    for j, w in enumerate(chain(windows, [""])):  # "" closes every open node
+        v = int.from_bytes(w.encode(encoding, "surrogatepass"), "big")
+        shared = (bits - (v ^ prev).bit_length()) // width
+        first = shared + 1 if shared >= lo else lo
+        c = cum[j]
+        for k in range(first, depth + 1):
+            s = opened[k]
+            n = c - cum[s]
+            if n > 1 and bordered[k]:
+                if n > scan:
+                    n = text.count(windows[s][:k])
+                else:
+                    n = _greedy(runs[s] if j - s == 1 else sorted(chain.from_iterable(runs[s:j])), k)
+            counts[k].append(n)
+        if not w:
+            break
+        depth = len(w.rstrip("\0"))
+        recur = w.find(w[0], 1)
+        if recur < 0:
+            recur = hi
+        p = runs[j][0]
+        full = tuple(seq[p : p + depth])
+        for k in range(first, depth + 1):
+            entries[k].append(full[:k])
+            opened[k] = j
+            bordered[k] = k > recur
+        prev = v
+    new = tuple.__new__
+    nodes = zip(chain.from_iterable(entries), chain.from_iterable(counts), repeat(None))
+    return [*map(new, repeat(Candidate), nodes)]
 
-    if any(bordered):
-        next_free = [0] * len(entries)
-        start = 0  # position of the current log's first key across all logs
-        for keys, wids in zip(keyed, starts):
-            for at, wid in enumerate(wids, start):
-                for node, length in bordered[wid]:
-                    # greedy: an occurrence counts only if it starts at or
-                    # after the end of the previously counted one
-                    if next_free[node] <= at:
-                        counts[node] += 1
-                        next_free[node] = at + length
-            start += len(keys)
-    # by length, then entries: within one length, entries order as values,
-    # and every value is below radix**hi
-    top = radix**hi
-    rank = [len(e) * top + v for e, v in zip(entries, values)]
-    order = sorted(range(len(rank)), key=rank.__getitem__)
-    return [Candidate(entries[i], counts[i]) for i in order]
+
+# a bordered node occurring more often than once per this many characters
+# of the text is counted with one str.count scan rather than over its starts
+_SCAN_EVERY = 32
+
+
+def _greedy(positions: Iterable[int], length: int) -> int:
+    """Occurrences at ascending ``positions``, each counted only if it
+    starts at or after the end of the previously counted one."""
+    n = free = 0
+    for p in positions:
+        if p >= free:
+            n += 1
+            free = p + length
+    return n
 
 
 def _is_nested(a: tuple, b: tuple) -> bool:
@@ -208,7 +216,7 @@ def policy_top(candidates: Iterable[Candidate], n_paths: int) -> list[SubPathSpe
     Candidates are popped from a heap in ``_mined_order`` (input position
     breaks full ties, as the stable sort does) until ``n_paths`` are
     chosen, so the pool is never sorted whole."""
-    heap = [(-c.count, c.length, c.entries, i, c) for i, c in enumerate(candidates)]
+    heap = [(-c.count, len(c.entries), c.entries, i, c) for i, c in enumerate(candidates)]
     heapify(heap)
     selected: list[Candidate] = []
     while heap and len(selected) < n_paths:
@@ -418,7 +426,7 @@ def estimate_savings(
                 if i == run_end:
                     run += 1
                 else:
-                    words += _run_words(run)
+                    words += run if run < 2 else _run_words(run)
                     run = 1
                 pos = run_end = end
             elif end > n and keys[i:] == pattern[: n - i]:

@@ -13,6 +13,7 @@ from cfaudit.errors import (
     AuthError,
     CapacityExceeded,
     ConfigMismatch,
+    DuplicateId,
     FaultOutOfRange,
     MalformedFrame,
     MalformedLog,
@@ -569,6 +570,20 @@ def test_prover_refuses_more_specs_than_its_engine_holds():
     verdict = verifier.assemble()
     assert verdict.outcome is Outcome.AUTHENTIC_AND_VALID
     assert verdict.raw_log == encode_raw(TRACE[:15], CONFIG)
+
+
+@pytest.mark.parametrize("config, specs, error", [
+    (replace(CONFIG, max_sub_paths=2),
+     tuple(SubPathSpec(i, (Transfer(A + i, B),)) for i in range(1, 5)), TooManySpecs),
+    (CONFIG, (SPEC, SubPathSpec(1, (Transfer(B, D),))), DuplicateId),
+    (CONFIG, (SubPathSpec(1, (B, D)),), ModeMismatch),
+    (DEST_CONFIG, (SPEC,), ModeMismatch),
+], ids=["too-many", "duplicate-id", "dest-spec", "pair-spec"])
+def test_prover_checks_the_specs_it_is_built_with(config, specs, error):
+    # refused at construction, as a request carrying them would be, not
+    # first in run after a keep-specs request was accepted
+    with pytest.raises(error):
+        Prover(KEY, config, specs)
 
 
 @pytest.mark.parametrize("challenge", [b"", b"abc"], ids=["empty", "short"])

@@ -199,18 +199,52 @@ class TestMiningParity:
         entry_type = Transfer if mode is Mode.PAIR else int
         assert all(type(e) is entry_type for c in got for e in c.entries)
 
-    @pytest.mark.parametrize("cfg, profile, len_range, n, digest", [
-        (sensor_cfg, sensor_profile, SENSOR_LEN_RANGE, 175,
+    @pytest.mark.parametrize("cfg, profile, len_range, config, n, digest", [
+        (sensor_cfg, sensor_profile, SENSOR_LEN_RANGE, PAIR16, 175,
          "34bda30b69c49474743755354fe74afae759100d5c24af1727fd2966b38b7544"),
-        (branchy_cfg, branchy_profile, BRANCHY_LEN_RANGE, 2531,
+        (branchy_cfg, branchy_profile, BRANCHY_LEN_RANGE, PAIR16, 2531,
          "50c2cba8a90f1838b4c0ce991ae7bc706d699301abf9dd81d6af8c606b54a7bd"),
+        (sensor_cfg, sensor_profile, SENSOR_LEN_RANGE, DEST16, 168,
+         "bed13083afcd4659231d416c1bfd24d82f86b70c0a8509c0523457e5e5200774"),
+        (branchy_cfg, branchy_profile, BRANCHY_LEN_RANGE, DEST16, 2042,
+         "f592c34d57eef9dd6f70d260cabccd3c023d5aa345fd58255dd6b705edd239c7"),
     ])
-    def test_fixture_priors_pinned(self, cfg, profile, len_range, n, digest):
-        log = encode_raw(generate_trace(cfg(), profile()), PAIR16)
-        got = enumerate_candidates([log], len_range, mode=Mode.PAIR)
+    def test_fixture_priors_pinned(self, cfg, profile, len_range, config, n, digest):
+        log = encode_raw(generate_trace(cfg(), profile()), config)
+        got = enumerate_candidates([log], len_range, mode=config.mode)
         assert len(got) == n
         pairs = repr([(c.entries, c.count) for c in got]).encode()
         assert hashlib.sha256(pairs).hexdigest() == digest
+
+    @settings(max_examples=200, deadline=None)
+    @given(mining_inputs(), st.integers(1, 8))
+    def test_top_takes_only_the_shortest_length(self, case, n_paths):
+        # a longer window's prefix of length lo counts at least as often and
+        # sorts first, so top never reaches a longer candidate
+        logs, (lo, hi), mode = case
+        specs = policy_top(enumerate_candidates(logs, (lo, hi), mode=mode), n_paths)
+        assert all(s.length == lo for s in specs)
+
+    @pytest.mark.parametrize("n_keys", [300, 0xD800 + 300])
+    def test_wide_key_alphabets(self, n_keys):
+        # past 255 keys windows are compared as UTF-32, past 0xD800 through
+        # surrogate code points; a repeated run of keys has borders
+        keys = [Transfer(0x0400 + i // 200, 0x0400 + i % 200) for i in range(n_keys)]
+        trace = keys[-40:] * 3 + keys + keys[:5] * 4
+        log = encode_raw(trace, PAIR16)
+        got = enumerate_candidates([log], (1, 3), mode=Mode.PAIR)
+        assert got == _reference_enumerate([log], (1, 3), Mode.PAIR)
+
+    def test_more_keys_than_characters_raise(self, monkeypatch):
+        # each key is one character, so the alphabet bounds the keys
+        monkeypatch.setattr(selection, "sys", type("Sys", (), {"maxunicode": 2}))
+        log = encode_raw([Transfer(0x0400 + i, 0x0500) for i in range(3)], PAIR16)
+        with pytest.raises(ValueError, match="3 distinct keys"):
+            enumerate_candidates([log], (1, 2), mode=Mode.PAIR)
+
+    def test_candidate_is_a_tuple_of_its_fields(self):
+        c = Candidate((0x0400, 0x0410), 3)
+        assert c == ((0x0400, 0x0410), 3, None) and c.length == 2
 
     def test_mode_mismatch(self):
         pair_log = encode_raw([Transfer(0x0400, 0x0500)], PAIR16)
