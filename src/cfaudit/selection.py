@@ -100,15 +100,13 @@ def enumerate_candidates(
     window that does not share it, so its windows are one run of the
     sorted windows.  A node whose first key does not recur in it has no
     border, cannot overlap itself, and counts the starts of its run.  Any
-    other node counts greedily over its starts in order, or, when it occurs
-    more often than once per ``_SCAN_EVERY`` characters, with one
-    ``str.count`` of the text, which counts leftmost non-overlapping
-    matches; no match crosses a pad.  Positions run on from log to log, so
-    an occurrence in one log never blocks one in the next.  More than
-    ``sys.maxunicode`` distinct keys, which one character each cannot
-    name, raise ``ValueError``.  Keys come from ``_raw_keys``, which caches
-    them on each log, so ``estimate_savings`` on a prior just mined does
-    not key it again."""
+    other node counts greedily over its starts in order.  Positions run on
+    from log to log, so an occurrence in one log never blocks one in the
+    next.  Windows are compared as UTF-32, which holds every character.
+    More than ``sys.maxunicode`` distinct keys, which one character each
+    cannot name, raise ``ValueError``.  Keys come from ``_raw_keys``, which
+    caches them on each log, so ``estimate_savings`` on a prior just mined
+    does not key it again."""
     lo, hi = len_range
     if lo < 1 or hi < lo:
         raise ValueError(f"bad len_range {len_range}: need 1 <= lo <= hi")
@@ -137,28 +135,22 @@ def enumerate_candidates(
     runs = [*map(starts.__getitem__, windows)]
     cum = [0, *accumulate(map(len, runs))]  # starts before each window
     seq = [*map(objs.__getitem__, text)]  # the entry at each position
-    # a window read as one int: the top differing bit gives the shared prefix
-    encoding, width = ("latin-1", 8) if len(distinct) < 256 else ("utf-32-be", 32)
-    bits = width * hi
-    scan = len(text) // _SCAN_EVERY
+    bits = 32 * hi  # a window read as one int: the top differing bit gives the shared prefix
     entries: list[list[tuple]] = [[] for _ in range(hi + 1)]  # per length
     counts: list[list[int]] = [[] for _ in range(hi + 1)]
     opened = [0] * (hi + 1)  # per length: the window its open node starts at
     bordered = [False] * (hi + 1)  # per length: whether its open node may overlap itself
     prev = depth = 0  # the previous window as an int, and its length in keys
     for j, w in enumerate(chain(windows, [""])):  # "" closes every open node
-        v = int.from_bytes(w.encode(encoding, "surrogatepass"), "big")
-        shared = (bits - (v ^ prev).bit_length()) // width
+        v = int.from_bytes(w.encode("utf-32-be", "surrogatepass"), "big")
+        shared = (bits - (v ^ prev).bit_length()) // 32
         first = shared + 1 if shared >= lo else lo
         c = cum[j]
         for k in range(first, depth + 1):
             s = opened[k]
             n = c - cum[s]
             if n > 1 and bordered[k]:
-                if n > scan:
-                    n = text.count(windows[s][:k])
-                else:
-                    n = _greedy(runs[s] if j - s == 1 else sorted(chain.from_iterable(runs[s:j])), k)
+                n = _greedy(runs[s] if j - s == 1 else sorted(chain.from_iterable(runs[s:j])), k)
             counts[k].append(n)
         if not w:
             break
@@ -176,11 +168,6 @@ def enumerate_candidates(
     new = tuple.__new__
     nodes = zip(chain.from_iterable(entries), chain.from_iterable(counts), repeat(None))
     return [*map(new, repeat(Candidate), nodes)]
-
-
-# a bordered node occurring more often than once per this many characters
-# of the text is counted with one str.count scan rather than over its starts
-_SCAN_EVERY = 32
 
 
 def _greedy(positions: Iterable[int], length: int) -> int:

@@ -227,13 +227,15 @@ class TestMiningParity:
 
     @pytest.mark.parametrize("n_keys", [300, 0xD800 + 300])
     def test_wide_key_alphabets(self, n_keys):
-        # past 255 keys windows are compared as UTF-32, past 0xD800 through
-        # surrogate code points; a repeated run of keys has borders
+        # keys past 255 need wide characters, past 0xD800 surrogate code
+        # points; a repeated run of keys has borders
         keys = [Transfer(0x0400 + i // 200, 0x0400 + i % 200) for i in range(n_keys)]
         trace = keys[-40:] * 3 + keys + keys[:5] * 4
         log = encode_raw(trace, PAIR16)
         got = enumerate_candidates([log], (1, 3), mode=Mode.PAIR)
         assert got == _reference_enumerate([log], (1, 3), Mode.PAIR)
+        # a plain tuple of the same fields would compare equal too
+        assert all(type(c) is Candidate for c in got)
 
     def test_more_keys_than_characters_raise(self, monkeypatch):
         # each key is one character, so the alphabet bounds the keys
