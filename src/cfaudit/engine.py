@@ -18,15 +18,21 @@ directly after a symbol (or symbol + counter) of the same id, the group
 coalesces into ``[symbol, count]`` instead of stacking symbols.
 
 The detectors never run one by one.  Their joint state, the tuple of all
-pointers, is interned to a small state number, and each state owns a table
-row mapping a transfer to ``(next state, winning spec index or -1)``.  A
-row entry is computed by the per-detector rule above the first time that
-state meets that transfer, and looked up ever after.  A completion always
-leads to the idle state (number 0), and so does a transfer outside every
-spec's alphabet: it enters each row that meets it as the idle entry, so
-the loop pays one row lookup per transfer.  The engine also remembers
-which outside transfers passed the range and mode checks, so such a
-transfer is still checked once per engine, not once per row.
+pointers, owns one table row: a plain dict mapping a transfer to the entry
+``(next row, winning spec index or -1, data)``.  A row entry is computed by
+the per-detector rule above the first time that state meets that
+transfer, and looked up ever after.  The entry holds the next row itself,
+so a transfer costs one subscript; the pointers of a row are found from
+its ``id`` only on a miss.  A raw entry's data is the words the transfer
+writes, as an exact tuple built once (``list.extend`` of a ``Transfer``,
+a tuple subclass, takes a slower path); a win's is the number of words it
+replaces besides its last, its symbol id and the words it writes.  Wins
+are counted per spec in the loop and added to ``hits`` when ``feed``
+exits, also when it raises.  A completion always leads to the idle row,
+and so does a transfer outside every spec's alphabet: it enters each row
+that meets it as its idle entry.  The engine also remembers which outside
+transfers passed the range and mode checks, so such a transfer is still
+checked once per engine, not once per row.
 
 The pending log is a buffer of memory-image words, as the device writes
 its evidence buffer: a raw transfer is its ``src, dest`` words (its
@@ -59,18 +65,19 @@ copies: the next ``c * len`` keys (``c`` is ``64 // len``, at least 1) are
 compared with the entries repeated ``c`` times, built once per spec, and a
 match adds ``c`` to the counter.  Once a block fails, fewer than ``c``
 copies follow, and they are compared one by one.  The run's wins are
-added to ``hits`` once and the loop skips the run.
+counted once and the loop skips the run.
 
 The replay's comparisons are fastest when equal addresses are one object,
 as in a generated trace, whose addresses are the CFG's own ints.  Specs
 often hold other objects (block memory decodes fresh ints), so when the
-table first matches a transfer equal to a spec entry but not the same
-object, the engine rebuilds its copies of that spec's body and block with
-the transfer in place of every entry equal to it.  This happens once per
-table entry; the caller's specs are never changed, and words and hits
-are not, since the objects are equal.  A parsed trace has a fresh int per
-address and stays compared by value: interning its addresses would cost
-a parse more than it saves a pass.
+table first matches a transfer equal to a spec entry but not over the
+same objects (in pair mode its two ints, since each generated step is a
+fresh ``Transfer``), the engine rebuilds its copies of that spec's body
+and block with the transfer in place of every entry equal to it.  Over a
+generated trace this happens once per spec entry; the caller's specs are
+never changed, and words and hits are not, since the objects are equal.
+A parsed trace has a fresh int per address and stays compared by value:
+interning its addresses would cost a parse more than it saves a pass.
 
 An engine with no specs writes the raw memory image, the log a plain
 auditing prover sends, so it needs no table.  ``feed`` then checks each
@@ -104,7 +111,6 @@ from .model import (
     validate_spec_set,
 )
 
-_IDLE = (0, -1)  # the table entry of a transfer outside every spec's alphabet
 _BLOCK = 64  # transfers the replay compares at once
 _dest_of = attrgetter("dest")
 
@@ -123,23 +129,24 @@ class Engine:
         self._word = config.word_bytes
         self._raw_bytes = config.raw_element_bytes
         self._retry = config.retry_on_mismatch
-        if self._pair:
-            self._patterns = [[(e.src, e.dest) for e in s.entries] for s in specs]
-        else:
-            self._patterns = [[*s.entries] for s in specs]
+        # the specs' own entries: in pair mode Transfers, like the keys, as
+        # the replay compares a Transfer with a plain tuple more slowly
+        self._patterns = [[*s.entries] for s in specs]
         # each body repeated to at most _BLOCK transfers (one copy if longer)
         self._blocks = [p * max(1, _BLOCK // len(p)) for p in self._patterns]
         self._alphabet = frozenset(item for p in self._patterns for item in p)
-        self._outside: set = set()  # checked transfers outside the alphabet
         self._lens = [len(p) for p in self._patterns]
-        # words of the raw elements a completion replaces besides its last
-        self._drops = [(n - 1) * (2 if self._pair else 1) for n in self._lens]
         self._ids = [s.id for s in specs]
+        # the data of a win: words of the raw elements it replaces besides
+        # its last, its symbol id, and the words it writes
+        self._win_data = [((n - 1) * (2 if self._pair else 1), sid, (sid,))
+                          for n, sid in zip(self._lens, self._ids)]
         idle = (0,) * len(specs)
-        self._states: list[tuple[int, ...]] = [idle]  # state number -> pointers
-        self._numbers = {idle: 0}
-        self._rows: list[dict] = [{}]  # state number -> {item: (next, winner)}
-        self._state = 0
+        self._idle: dict = {}  # the idle state's row: {item: (next row, winner, data)}
+        self._rows = {idle: self._idle}  # pointers -> row
+        self._pointers = {id(self._idle): idle}  # id(row) -> pointers
+        self._outside: dict = {}  # checked transfer outside the alphabet -> its entry
+        self._row = self._idle
         self._buf: list[int] = []  # the pending log's memory-image words
         self.hits: dict[int, int] = {s.id: 0 for s in specs}
 
@@ -173,59 +180,52 @@ class Engine:
         else:
             # a log of more words has no room for one more raw element
             cut = (slice_limit - raw) // self._word
-        pair = self._pair
-        if not pair:
-            keys = [*map(_dest_of, trace)]
-        else:
+        if self._pair:
             keys = trace if type(trace) is list else [*trace]
+        else:
+            keys = [*map(_dest_of, trace)]
         if not self._ids:
             words = self._raw_words(keys)
             if words is not None:
                 return self._extend_raw(words, cut)
         config = self.config
-        rows = self._rows
-        idle_row = rows[0]
-        drops = self._drops
-        ids = self._ids
-        hits = self.hits
+        idle_row = self._idle
         tag = self._hi
         first_count = tag | MIN_REPEAT_COUNT
         full = tag | MAX_REPEAT_COUNT
+        wins = [0] * len(self._ids)  # wins per spec index, added to hits on exit
         out: list[Log] = []
-        state = self._state
-        row = rows[state]
+        row = self._row
         buf = self._buf
-        push = buf.extend if pair else buf.append
+        push = buf.extend
         bodies, blocks = self._patterns, self._blocks
         it = iter(keys)
         try:
             for key in it:
                 if len(buf) > cut:
                     out.append(Log(tuple(buf), config))
-                    buf, state, row = [], 0, idle_row
-                    push = buf.extend if pair else buf.append
-                entry = row.get(key)
-                if entry is None:
-                    entry = self._miss(state, key)
-                state, winner = entry
+                    buf, row = [], idle_row
+                    push = buf.extend
+                try:
+                    row, winner, data = row[key]
+                except KeyError:
+                    row, winner, data = self._miss(row, key)
                 if winner < 0:
-                    push(key)
-                    row = rows[state]
+                    push(data)
                     continue
-                row = idle_row
-                drop = drops[winner]
-                if drop:
-                    del buf[-drop:]
-                # symbol ids, addresses and counters occupy disjoint word ranges
-                sid = ids[winner]
-                hits[sid] += 1
-                tail = buf[-1] if buf else 0
+                wins[winner] += 1
+                drop, sid, symbol = data
+                # the words before the ones this win replaces; symbol ids,
+                # addresses and counters occupy disjoint word ranges
+                k = len(buf) - drop
+                tail = buf[k - 1] if k else 0
                 if tail == sid:
-                    buf.append(first_count)
-                elif tag < tail < full and buf[-2] == sid:
+                    buf[k:] = (first_count,)
+                elif tag < tail < full and buf[k - 2] == sid:
+                    del buf[k:]
                     buf[-1] = tail + 1
                 else:
-                    buf.append(sid)
+                    buf[k:] = symbol
                     continue
                 # a coalescing win read this body from idle: replay the
                 # copies that follow it (see the module docstring)
@@ -256,10 +256,13 @@ class Engine:
                     else:
                         buf.append(sid)
                 if end > start:
-                    hits[sid] += (end - start) // n
+                    wins[winner] += (end - start) // n
                     next(islice(it, end - start, end - start), None)
         finally:
-            self._buf, self._state = buf, state
+            self._buf, self._row = buf, row
+            hits = self.hits
+            for sid, won in zip(self._ids, wins):
+                hits[sid] += won
         return out
 
     def _raw_words(self, keys: list) -> list | None:
@@ -267,7 +270,7 @@ class Engine:
         key fails ``_miss``'s checks: the loop raises at that one."""
         try:
             for key in set(keys).difference(self._outside):
-                self._miss(0, key)
+                self._miss(self._idle, key)
         except Exception:  # whatever fails here, the loop raises in place
             return None
         return [*chain.from_iterable(keys)] if self._pair else keys
@@ -290,36 +293,50 @@ class Engine:
         self._buf = buf
         return out
 
-    def _miss(self, state: int, item) -> tuple[int, int]:
-        """Add the entry of a transfer the table does not know in ``state``,
-        checking its mode and range first unless it is an outside transfer
-        checked before; an outside transfer's entry sends it to idle."""
-        outside = self._outside
-        if item not in outside:
+    def _miss(self, row: dict, item) -> tuple:
+        """Add the entry of a transfer ``row`` does not know, checking its
+        mode and range first unless it is an outside transfer checked
+        before; an outside transfer's entry sends it to idle."""
+        outside, pair = self._outside, self._pair
+        entry = outside.get(item)
+        if entry is None:
+            # each raise drops its context: the loop calls this while it
+            # handles the row's KeyError, which is no part of the error
             lo, hi = self._lo, self._hi
-            if self._pair:
+            if pair:
                 try:
                     src, dest = item
                 except (TypeError, ValueError):
                     raise ModeMismatch(
                         f"pair-mode engine fed {item!r}, not a (src, dest) pair") from None
                 if src is None:
-                    raise ModeMismatch("pair-mode engine fed a transfer without source")
+                    raise ModeMismatch("pair-mode engine fed a transfer without source") from None
                 if not (lo <= src < hi and lo <= dest < hi):
-                    raise AddressOutOfRange(f"transfer ({src:#x}, {dest:#x}) out of range")
+                    raise AddressOutOfRange(
+                        f"transfer ({src:#x}, {dest:#x}) out of range") from None
+                words = (src, dest)
             elif not lo <= item < hi:
-                raise AddressOutOfRange(f"destination {item:#x} out of range")
+                raise AddressOutOfRange(f"destination {item:#x} out of range") from None
+            else:
+                words = (item,)
             if item not in self._alphabet:
-                outside.add(item)
-        if item in outside:
-            self._rows[state][item] = _IDLE
-            return _IDLE
-        ptrs = list(self._states[state])
+                entry = outside[item] = (self._idle, -1, words)
+        if entry is not None:
+            row[item] = entry
+            return entry
+        ptrs = list(self._pointers[id(row)])
         winner = -1
         for k, pattern in enumerate(self._patterns):
             p = ptrs[k]
-            if pattern[p] == item:
-                if pattern[p] is not item:
+            e = pattern[p]
+            if e == item:
+                # pair mode tests the ints: each generated step is a fresh
+                # Transfer over the CFG's own addresses
+                if pair:
+                    adopted = e[0] is src and e[1] is dest
+                else:
+                    adopted = e is item
+                if not adopted:
                     self._adopt(k, item)
                 p += 1
                 if p == self._lens[k]:
@@ -331,15 +348,16 @@ class Engine:
                 # Monitor-phase mismatch consumes the transfer; only the
                 # retry variant re-tests it against the first entry.
                 ptrs[k] = 1 if (self._retry and pattern[0] == item) else 0
-        nxt = 0
-        if winner < 0:
+        if winner >= 0:
+            entry = (self._idle, winner, self._win_data[winner])
+        else:
             joint = tuple(ptrs)
-            nxt = self._numbers.get(joint, -1)
-            if nxt < 0:
-                nxt = self._numbers[joint] = len(self._states)
-                self._states.append(joint)
-                self._rows.append({})
-        entry = self._rows[state][item] = (nxt, winner)
+            nxt = self._rows.get(joint)
+            if nxt is None:
+                nxt = self._rows[joint] = {}
+                self._pointers[id(nxt)] = joint
+            entry = (nxt, -1, words)
+        row[item] = entry
         return entry
 
     def _adopt(self, k: int, item) -> None:
@@ -358,7 +376,7 @@ class Engine:
         """
         log = Log(tuple(self._buf), self.config)
         self._buf = []
-        self._state = 0
+        self._row = self._idle
         return log
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfaudit import codec, engine as engine_module, model, protocol
+from cfaudit import codec, engine as engine_module, fixtures, model, protocol, workload
 from cfaudit.codec import blockmem_block_bytes, encode_raw, serialize_log
 from cfaudit.engine import Engine, compress_trace, expand, slice_compress
 from cfaudit.errors import (
@@ -32,7 +32,7 @@ from cfaudit.model import (
     make_log,
 )
 from cfaudit.oracle import oracle_compress, oracle_slice_compress
-from cfaudit.selection import enumerate_candidates, estimate_savings
+from cfaudit.selection import enumerate_candidates, estimate_savings, policy_top
 
 from conftest import CONFIG_GRID, random_instance
 
@@ -904,6 +904,45 @@ def test_input_shapes_give_the_same_words_and_hits(inst, data):
     assert sliced.count(sliced[0]) == len(sliced)
 
 
+@given(burst_instances(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_a_sliced_feed_split_in_two_gives_the_same_slices(inst, data):
+    trace, specs, config = inst
+    k = data.draw(st.integers(0, len(trace)))
+    limit = config.slice_size_bytes
+    results = []
+    for parts in ([trace], [trace[:k], trace[k:]]):
+        eng = Engine(specs, config)
+        logs = [log.words for part in parts for log in eng.feed(part, limit)]
+        logs.append(eng.finalize().words)
+        results.append((logs, eng.hits))
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("mode", [Mode.PAIR, Mode.DEST])
+@pytest.mark.parametrize("sliced", [False, True], ids=["whole", "sliced"])
+def test_a_feed_that_raises_after_wins_keeps_them(mode, sliced):
+    # the raise comes after three wins and one transfer into a fourth copy:
+    # the engine keeps the wins, the words and the partial match, so the
+    # rest of the input completes that copy as it would have
+    config = EngineConfig(mode=mode)
+    body = pairs((A, B), (B, D))
+    spec = SubPathSpec(1, body if mode is Mode.PAIR else [t.dest for t in body])
+    prefix = body * 3 + [Transfer(G, X)] + body[:1]
+    rest = body[1:] + body * 2 + [Transfer(G, X)]
+    limit = 2 * config.raw_element_bytes if sliced else None
+    eng, want = Engine([spec], config), Engine([spec], config)
+    with pytest.raises(AddressOutOfRange):
+        eng.feed(prefix + [Transfer(A, 0x8000)] + rest, limit)
+    want.feed(prefix, limit)
+    assert want.hits[1] > 0
+    assert eng.hits == want.hits
+    assert state(eng) == state(want)
+    logs = [log.words for log in eng.feed(rest, limit)] + [eng.finalize().words]
+    assert logs == [log.words for log in want.feed(rest, limit)] + [want.finalize().words]
+    assert eng.hits == want.hits
+
+
 class TestReplay:
     """Back-to-back copies of a loop body after a coalescing win are
     replayed; each case puts the replay where it could go wrong."""
@@ -1162,6 +1201,31 @@ def test_specs_of_other_int_objects_give_the_same_logs(inst, data):
                 assert_same_log(got, expected, config)
             assert eng.hits == hits
         assert all(a is b for s, i in zip(variant, items) for a, b in zip(s.entries, i))
+
+
+def test_each_spec_entry_is_adopted_once(monkeypatch):
+    # a generated branchy pass with specs decoded from block memory: every
+    # step is a fresh Transfer over the CFG's own ints, and the specs hold
+    # other int objects; an entry once adopted holds the trace's ints, so
+    # an equal transfer met in another state does not adopt it again
+    cfg, profile = fixtures.branchy_cfg(), fixtures.branchy_profile()
+    prior = workload.generate_trace(cfg, profile)
+    specs = policy_top(enumerate_candidates([encode_raw(prior, PAIR16)], (2, 16)), 8)
+    specs = codec.deserialize_blockmem(codec.serialize_blockmem(specs, PAIR16), PAIR16)
+    trace = workload.generate_trace(
+        cfg, workload.WorkloadProfile(seed=1, steps=20_000, loop_bias=profile.loop_bias))
+    calls = []
+    adopt = Engine._adopt
+
+    def counted(self, k, item):
+        calls.append((k, item))
+        adopt(self, k, item)
+
+    monkeypatch.setattr(Engine, "_adopt", counted)
+    assert slice_compress(trace, specs, PAIR16) == oracle_slice_compress(trace, specs, PAIR16)
+    assert calls
+    assert len(calls) <= sum(len(set(s.entries)) for s in specs)
+    assert len(set(calls)) == len(calls)
 
 
 def test_prover_keeps_its_specs_across_sessions():
