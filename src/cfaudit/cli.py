@@ -23,7 +23,7 @@ from . import cfg as cfgmod
 from . import codec, files, metrics, protocol, selection, workload
 from .engine import Engine, expand
 from .errors import AuditError
-from .model import EngineConfig, Mode, Transfer
+from .model import MAX_SPEC_LEN, EngineConfig, Mode, Transfer
 from .monitor import Region, RegionMap, run_monitor
 
 
@@ -113,6 +113,10 @@ def _choose_specs(args, config: EngineConfig, logs, graph) -> list:
     if args.policy == "static":
         candidates = selection.static_candidates(graph)
     else:
+        # no longer window can become a spec, and mining grows with the length
+        if args.max_len > MAX_SPEC_LEN:
+            raise AuditError(f"--max-len {args.max_len} is above {MAX_SPEC_LEN}, "
+                             "the longest spec")
         candidates = selection.enumerate_candidates(
             logs, (args.min_len, args.max_len), mode=config.mode
         )

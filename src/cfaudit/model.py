@@ -139,8 +139,9 @@ class Log:
     config of that layout (``image``), and equality, hash and pickle key on
     ``(words, config.mode, config.addr_width)``.  Slice size and retry are
     no part of the layout.  A raw log caches its selection keys in
-    ``_keys`` on first use (``selection._raw_keys``); a copy or a pickle
-    does not carry them."""
+    ``_keys`` on first use (``selection._raw_keys``): one int code
+    ``src << 32 | dest`` per transfer in pair mode, the words in dest mode.
+    A copy or a pickle does not carry them."""
 
     __slots__ = ("_elements", "size_bytes", "words", "config", "_keys")
 

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from heapq import heapify, heappop
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, groupby, repeat
+from struct import pack, unpack
 from typing import Iterable, NamedTuple, Sequence
 
 from .cfg import CFG, enumerate_segment_paths, find_loops, segment_cfg
@@ -53,12 +53,13 @@ class Candidate(NamedTuple):
 
 
 def _raw_keys(log: Log, mode: Mode) -> tuple:
-    """The transfer keys of a raw log of ``mode``: ``(src, dest)`` pairs in
-    pair mode, destinations in dest mode, read from its words.  A log of
-    another mode raises ``ModeMismatch``, a compressed log ``ValueError``,
-    afresh each time.  A select keys each prior for mining and again for
-    each chosen spec's estimate, so the keys are cached on the log, in its
-    ``_keys`` slot."""
+    """The transfer keys of a raw log of ``mode``, read from its words: in
+    pair mode one int code per transfer, ``src << 32 | dest``, which
+    orders as the ``(src, dest)`` pairs at either address width; in dest
+    mode the destinations.  A log of another mode raises
+    ``ModeMismatch``, a compressed log ``ValueError``, afresh each time.
+    A select keys each prior for mining and again for each chosen spec's
+    estimate, so the keys are cached on the log, in its ``_keys`` slot."""
     config = log.config
     if config.mode is not mode:
         raise ModeMismatch(f"{config.mode.value} elements in {mode.value}-mode input")
@@ -71,8 +72,9 @@ def _raw_keys(log: Log, mode: Mode) -> tuple:
         if mode is Mode.DEST:
             keys = words
         else:
-            it = iter(words)
-            keys = tuple(zip(it, it))
+            # each word is below 2**31: two big-endian 4-byte words read as one 8-byte code
+            n = len(words)
+            keys = unpack(f">{n // 2}Q", pack(f">{n}I", *words))
         _set_keys(log, keys)
     return keys
 
@@ -87,6 +89,9 @@ def enumerate_candidates(
     counted greedily left-to-right without overlap, summed over logs, in
     ``(length, entries)`` order.
 
+    A pair-mode key is its transfer's int code (``_raw_keys``), and each
+    distinct code's entry is a ``Transfer`` over the words of one of its
+    positions, so mined entries hold the prior's own address objects.
     Each distinct key becomes one character, ``chr(1)`` up in key order, so
     strings of them order as their entries; the logs are joined into one
     text, each followed by ``hi - 1`` pad characters ``chr(0)``.  Each
@@ -110,12 +115,24 @@ def enumerate_candidates(
     lo, hi = len_range
     if lo < 1 or hi < lo:
         raise ValueError(f"bad len_range {len_range}: need 1 <= lo <= hi")
+    logs = [*logs]
     keyed = [_raw_keys(log, mode) for log in logs]
-    distinct = sorted(set(chain.from_iterable(keyed)))
+    if mode is Mode.PAIR:
+        # each distinct code's entry, over the words of the first log that holds it
+        made: dict[int, Transfer] = {}
+        for log, keys in zip(logs, keyed):
+            words = log.words
+            for code, p in dict(zip(keys, range(0, 2 * len(keys), 2))).items():
+                if code not in made:
+                    made[code] = Transfer(words[p], words[p + 1])
+        distinct = sorted(made)
+        objects = map(made.__getitem__, distinct)
+    else:
+        objects = distinct = sorted(set(chain.from_iterable(keyed)))
     if len(distinct) > sys.maxunicode:
         raise ValueError(f"{len(distinct)} distinct keys; mining takes at most {sys.maxunicode}")
     chars = {k: chr(i) for i, k in enumerate(distinct, 1)}
-    objs = dict(zip(chars.values(), map(Transfer._make, distinct) if mode is Mode.PAIR else distinct))
+    objs = dict(zip(chars.values(), objects))
     objs["\0"] = None
     pad = "\0" * (hi - 1)
     text = pad.join(["".join(map(chars.__getitem__, keys)) for keys in keyed]) + pad
@@ -200,16 +217,23 @@ def policy_top(candidates: Iterable[Candidate], n_paths: int) -> list[SubPathSpe
     """Highest-count candidates, skipping any that nests with an already
     selected one; ties break on shorter length, then entry order.
 
-    Candidates are popped from a heap in ``_mined_order`` (input position
-    breaks full ties, as the stable sort does) until ``n_paths`` are
-    chosen, so the pool is never sorted whole."""
-    heap = [(-c.count, len(c.entries), c.entries, i, c) for i, c in enumerate(candidates)]
-    heapify(heap)
+    One stable sort of positions on count, highest first, groups equal
+    counts in input order.  Each group reached is sorted by ``(length,
+    entries)``, so candidates come in ``_mined_order`` (input position
+    breaks full ties, as its stable sort does) until ``n_paths`` are
+    chosen, and only the groups reached are ordered past their count."""
+    if n_paths < 1:
+        return []
+    pool = [*candidates]
+    counts = [c.count for c in pool]
     selected: list[Candidate] = []
-    while heap and len(selected) < n_paths:
-        c = heappop(heap)[-1]
-        if not any(_is_nested(c.entries, s.entries) for s in selected):
-            selected.append(c)
+    for _, group in groupby(sorted(range(len(pool)), key=counts.__getitem__, reverse=True),
+                            counts.__getitem__):
+        for c in sorted(map(pool.__getitem__, group), key=lambda c: (len(c.entries), c.entries)):
+            if not any(_is_nested(c.entries, s.entries) for s in selected):
+                selected.append(c)
+                if len(selected) == n_paths:
+                    return _to_specs(selected)
     return _to_specs(selected)
 
 
@@ -392,7 +416,7 @@ def estimate_savings(
     retry = config.retry_on_mismatch
     raw_bytes, word = config.raw_element_bytes, config.word_bytes
     # read only once validated: a spec of the other mode raises there
-    pattern = tuple((e.src, e.dest) for e in spec.entries) if pair else tuple(spec.entries)
+    pattern = tuple(e.src << 32 | e.dest for e in spec.entries) if pair else tuple(spec.entries)
     first, length = pattern[0], len(pattern)
     saved = 0
     for log in logs:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cfaudit import protocol
+from cfaudit import protocol, selection
 from cfaudit.cli import main
 from cfaudit.codec import (
     deserialize_log,
@@ -363,6 +363,35 @@ class TestBadInput:
         err = self.check(capsys, "select", "--policy", "top", "--trace", workdir / "t.trace",
                          "--min-len", 0, "-o", workdir / "x.specs")
         assert "len_range" in err
+
+    def check_max_len(self, capsys, monkeypatch, max_len, *argv):
+        """A ``--max-len`` up to the longest spec mines; a longer one exits
+        1 before mining."""
+        mined = []
+        mine = selection.enumerate_candidates
+        monkeypatch.setattr(selection, "enumerate_candidates",
+                            lambda *a, **k: mined.append(a) or mine(*a, **k))
+        if max_len <= MAX_SPEC_LEN:
+            assert run(*argv, "--max-len", max_len) == 0
+            assert len(mined) == 1
+        else:
+            err = self.check(capsys, *argv, "--max-len", max_len)
+            assert f"--max-len {max_len}" in err and mined == []
+
+    @pytest.mark.parametrize("max_len", [MAX_SPEC_LEN, MAX_SPEC_LEN + 1])
+    def test_select_max_len_up_to_the_longest_spec(self, workdir, capsys, monkeypatch,
+                                                   max_len):
+        self.check_max_len(capsys, monkeypatch, max_len, "select", "--policy", "top",
+                           "--trace", workdir / "t.trace", "-o", workdir / "x.specs")
+        assert (workdir / "x.specs").exists() == (max_len <= MAX_SPEC_LEN)
+
+    @pytest.mark.parametrize("max_len", [MAX_SPEC_LEN, MAX_SPEC_LEN + 1])
+    def test_simulate_max_len_up_to_the_longest_spec(self, tmp_path, capsys, monkeypatch,
+                                                     max_len):
+        fixtures = write_fixture_files(tmp_path / "fx")
+        self.check_max_len(capsys, monkeypatch, max_len, "simulate", fixtures["sensor.cfg"],
+                           "--key", fixtures["demo.key"], "--steps", 400, "--policy", "top",
+                           "--report", tmp_path / "r.json")
 
     def test_simulate_negative_steps(self, tmp_path, capsys):
         fixtures = write_fixture_files(tmp_path / "fx")

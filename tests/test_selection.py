@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import pickle
 import random
+from heapq import heapify, heappop
 
 import pytest
 from hypothesis import given, settings
@@ -68,6 +69,7 @@ from conftest import (
 from test_cfg import dead_diamonds_document, long_path_document, looped_diamonds_document
 
 PAIR16 = EngineConfig()
+PAIR32 = EngineConfig(addr_width=32)
 DEST16 = EngineConfig(mode=Mode.DEST)
 
 
@@ -310,6 +312,11 @@ def keys_cached(monkeypatch):
     return logs
 
 
+def decoded(codes):
+    """Pair-mode keys, ``src << 32 | dest`` codes, back as ``(src, dest)``."""
+    return tuple((k >> 32, k & 0xFFFFFFFF) for k in codes)
+
+
 def held_by_selection(obj):
     """The objects that hold ``obj`` and are ``selection``'s globals or
     sit in them, directly or in a container."""
@@ -363,7 +370,7 @@ class TestKeysMemo:
         for spec in policy_top(mined, 2):
             estimate_savings(spec, [prior], PAIR16)
         keys = prior._keys
-        assert keys == tuple(prior.elements)
+        assert decoded(keys) == tuple(prior.elements)
         assert held_by_selection(prior) == []
         assert held_by_selection(keys) == []
         # a copy or a pickle carries no keys, and the keys leave equality alone
@@ -387,9 +394,69 @@ class TestKeysMemoPerLog:
         savings = [estimate_savings(s, priors, PAIR16) for s in specs]
         assert [id(log) for log in built] == [id(log) for log in priors]
         assert savings == [oracle_savings(s, priors, PAIR16) for s in specs]
-        assert [log._keys for log in priors] == [tuple(log.elements) for log in priors]
+        assert [decoded(log._keys) for log in priors] == [tuple(log.elements) for log in priors]
         for log in priors:
             assert held_by_selection(log) == []
+
+
+class TestPairCodes:
+    """Pair-mode keys are ``src << 32 | dest`` codes at either width, and
+    mined entries are ``Transfer``s over the prior's own word objects."""
+
+    @staticmethod
+    def fresh_trace(rng, pool, n):
+        # each address a fresh int object, so ``is`` tells whose word it is
+        return [Transfer(rng.choice(pool) + 0, rng.choice(pool) + 0) for _ in range(n)]
+
+    @staticmethod
+    def assert_own_words(mined, logs):
+        words = {id(w) for log in logs for w in log.words}
+        for c in mined:
+            for e in c.entries:
+                assert type(e) is Transfer and id(e.src) in words and id(e.dest) in words
+
+    @staticmethod
+    def check_savings(mined, logs, config, rng):
+        specs = policy_top(mined, 8)
+        specs += random_specs(rng, config, logs[0].elements, max_len=6)
+        for spec in specs:
+            assert estimate_savings(spec, logs, config) == oracle_savings(spec, logs, config)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_32_bit_addresses_past_16_bits(self, seed):
+        rng = random.Random(seed)
+        pool = [0x0400, 0xFFFF, 0x10000, 0x7FFFFFFF] + address_pool(PAIR32, 3, rng)
+        assert all(a < PAIR32.counter_tag for a in pool)
+        logs = [encode_raw(self.fresh_trace(rng, pool, rng.randint(0, 90)), PAIR32)
+                for _ in range(rng.randint(1, 3))]
+        mined = enumerate_candidates(logs, (1, 6), mode=Mode.PAIR)
+        assert mined == _reference_enumerate(logs, (1, 6), Mode.PAIR)
+        assert any(e.src > 0xFFFF or e.dest > 0xFFFF for c in mined for e in c.entries)
+        self.assert_own_words(mined, logs)
+        self.check_savings(mined, logs, PAIR32, rng)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_16_and_32_bit_priors_mined_together(self, seed):
+        rng = random.Random(seed)
+        shared = [0x0400, 0x0410, 0x7FFF]  # addresses both widths hold
+        narrow = self.fresh_trace(rng, shared + [0x1234], 60)
+        wide = self.fresh_trace(rng, shared + [0x8000, 0x12345678], 60)
+        logs = [encode_raw(narrow, PAIR16), encode_raw(wide, PAIR32)]
+        mined = enumerate_candidates(logs, (1, 5), mode=Mode.PAIR)
+        assert mined == _reference_enumerate(logs, (1, 5), Mode.PAIR)
+        self.assert_own_words(mined, logs)
+        for log, config in zip(logs, (PAIR16, PAIR32)):
+            self.check_savings(enumerate_candidates([log], (1, 5), mode=Mode.PAIR),
+                               [log], config, rng)
+
+    @pytest.mark.parametrize("cfg, profile, len_range", [
+        (sensor_cfg, sensor_profile, SENSOR_LEN_RANGE),
+        (branchy_cfg, branchy_profile, BRANCHY_LEN_RANGE),
+    ])
+    def test_fixture_entries_are_the_prior_words(self, cfg, profile, len_range):
+        log = encode_raw(generate_trace(cfg(), profile()), PAIR16)
+        mined = enumerate_candidates([log], len_range, mode=Mode.PAIR)
+        self.assert_own_words(mined, [log])
 
 
 def cand(letters, count):
@@ -465,6 +532,46 @@ class TestTop:
             n = rng.randint(1, 4)
             got = [s.entries for s in policy_top(pool, n)]
             assert got == brute_force_top(pool, n)
+
+
+def heap_top(candidates, n_paths):
+    """``policy_top`` as it popped a heap of the whole pool."""
+    def nested(a, b):
+        small, big = (a, b) if len(a) <= len(b) else (b, a)
+        k = len(small)
+        return any(big[i : i + k] == small for i in range(len(big) - k + 1))
+
+    heap = [(-c.count, len(c.entries), c.entries, i, c) for i, c in enumerate(candidates)]
+    heapify(heap)
+    selected = []
+    while heap and len(selected) < n_paths:
+        c = heappop(heap)[-1]
+        if not any(nested(c.entries, s.entries) for s in selected):
+            selected.append(c)
+    return selected
+
+
+@st.composite
+def top_pools(draw):
+    """Candidate pools: a mined pool, shuffled, or a random one whose few
+    counts make large equal-count groups over nested, repeated entries."""
+    if draw(st.booleans()):
+        logs, len_range, mode = draw(mining_inputs())
+        return draw(st.permutations(enumerate_candidates(logs, len_range, mode=mode)))
+    letters = st.text("ABC", min_size=1, max_size=4)
+    counts = st.integers(0, 2)
+    return [cand(w, n) for w, n in draw(st.lists(st.tuples(letters, counts), max_size=40))]
+
+
+class TestTopOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(top_pools(), st.integers(0, 9), st.booleans())
+    def test_equals_heap_top(self, pool, n_paths, as_generator):
+        want = [s.entries for s in heap_top(pool, n_paths)]
+        given_pool = (c for c in pool) if as_generator else pool
+        specs = policy_top(given_pool, n_paths)
+        assert [s.entries for s in specs] == want
+        assert [s.id for s in specs] == list(range(1, len(want) + 1))
 
 
 class TestMinimize:
